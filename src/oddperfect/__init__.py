@@ -5,12 +5,13 @@ certifies the 2-adic argument that rules them out for q = 1 mod 4, and
 classifies integers against the structural theorems on (multiply) perfect
 numbers.
 """
+from types import ModuleType as _ModuleType
+
 from .arith import (
     DETERMINISTIC_PRIME_BOUND,
     Factorization,
     binomial,
     factorize,
-    gcd,
     is_prime,
     isqrt_exact,
     primes_upto,
@@ -36,12 +37,12 @@ from .errors import (
     CheckpointError,
     ConsistencyError,
     FactorBoundError,
-    SearchInterrupted,
 )
 from .quadratic import (
     CertificateReport,
     QuadInt,
     divides,
+    identity_sweep,
     ratio_identity_check,
     trace_expansion,
     two_adic_certificate,
@@ -55,60 +56,15 @@ from .search import (
     SolutionRecord,
     checkpoint_resume,
     checkpoint_save,
-    resume_config,
     run_search,
-    search_n_squared,
-    search_two_n_squared,
     split_solution,
 )
 
 __version__ = "0.1.0"
 
+# every public name imported above, in import order; submodules are not API
 __all__ = [
-    "DETERMINISTIC_PRIME_BOUND",
-    "Factorization",
-    "binomial",
-    "factorize",
-    "gcd",
-    "is_prime",
-    "isqrt_exact",
-    "primes_upto",
-    "sigma",
-    "sigma_prime_power",
-    "vp",
-    "ChenLuoRecord",
-    "ClassifyReport",
-    "abundancy",
-    "chenluo_check",
-    "classify_report",
-    "dhp_decompose",
-    "dhp_scan",
-    "enumerate_multiperfect",
-    "euler_form",
-    "odd_multiperfect_upto",
-    "omega_bound_product",
-    "sigma_table",
-    "CheckpointError",
-    "ConsistencyError",
-    "FactorBoundError",
-    "SearchInterrupted",
-    "CertificateReport",
-    "QuadInt",
-    "divides",
-    "ratio_identity_check",
-    "trace_expansion",
-    "two_adic_certificate",
-    "unit_group",
-    "CheckpointState",
-    "Equation",
-    "SearchConfig",
-    "SearchReport",
-    "SolutionRecord",
-    "checkpoint_resume",
-    "checkpoint_save",
-    "resume_config",
-    "run_search",
-    "search_n_squared",
-    "search_two_n_squared",
-    "split_solution",
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -279,8 +279,3 @@ def binomial(n: int, k: int) -> int:
     for i in range(1, k + 1):
         result = result * (n - k + i) // i
     return result
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) == 0."""
-    return math.gcd(a, b)

@@ -7,7 +7,6 @@ sigma(3^2)*sigma(5^2)*... used to bound the special prime's contribution.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -250,9 +249,6 @@ class ClassifyReport:
             "dhp": triple(self.dhp, ("m", "q", "alpha")),
             "chenluo": self.chenluo.as_dict() if self.chenluo else None,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def classify_report(n: int) -> ClassifyReport:

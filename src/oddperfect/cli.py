@@ -10,7 +10,6 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -20,10 +19,9 @@ from .classify import (
     enumerate_multiperfect,
     omega_bound_product,
 )
-from .errors import CheckpointError, ConsistencyError, SearchInterrupted
-from .quadratic import QuadInt, ratio_identity_check, trace_expansion, two_adic_certificate
-from .search import Equation, SearchConfig, canonical_json, run_search
-from .arith import primes_upto
+from .errors import CheckpointError, ConsistencyError
+from .quadratic import identity_sweep, two_adic_certificate
+from .search import Equation, SearchConfig, canonical_json, digest, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,15 +37,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _int_flag(text: str) -> int:
-    """Decimal integer, underscores allowed, no scientific notation."""
-    return int(text)
-
-
-def _hash(params: dict) -> str:
-    return hashlib.sha256(canonical_json(params).encode()).hexdigest()[:16]
 
 
 def _emit(args, records: list[dict], summary: dict, text_lines: list[str]) -> None:
@@ -114,7 +103,7 @@ def _cmd_search(args) -> int:
 def _cmd_certify(args) -> int:
     report = two_adic_certificate(args.q, args.alpha)
     params = {"command": "certify", "q": args.q, "alpha": args.alpha}
-    summary = {"passed": report.passed, "config_hash": _hash(params)}
+    summary = {"passed": report.passed, "config_hash": digest(params)}
     text = [f"q={report.q} alpha={report.alpha}"]
     text += [f"summand i={i} v2={v2}" for i, v2 in report.summands]
     text.append(f"v2(S)={report.v2_total} passed={report.passed}")
@@ -139,19 +128,19 @@ def _cmd_classify(args) -> int:
         params = {"command": "classify", "n": args.n}
         d = report.as_dict()
         text = [f"{key}={d[key]}" for key in ("n", "sigma", "k", "euler_form", "dhp", "chenluo")]
-        _emit(args, [d], {"config_hash": _hash(params)}, text)
+        _emit(args, [d], {"config_hash": digest(params)}, text)
         return EXIT_OK
     if args.limit is None:
         raise ValueError("--dhp-scan / --multiperfect require --limit")
     if args.dhp_scan:
         hits = dhp_scan(args.limit)
         params = {"command": "classify", "dhp_scan": args.limit}
-        summary = {"hits": len(hits), "config_hash": _hash(params)}
+        summary = {"hits": len(hits), "config_hash": digest(params)}
         _emit(args, [{"n": n} for n in hits], summary, [canonical_json(hits)])
         return EXIT_OK
     pairs = enumerate_multiperfect(args.limit)
     params = {"command": "classify", "multiperfect": args.limit}
-    summary = {"hits": len(pairs), "config_hash": _hash(params)}
+    summary = {"hits": len(pairs), "config_hash": digest(params)}
     _emit(
         args,
         [{"n": n, "k": k} for n, k in pairs],
@@ -162,41 +151,18 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    trace_checked = trace_failed = 0
-    for q in primes_upto(args.q_max):
-        d = 1 - q
-        if d >= 0:
-            continue
-        for m in range(1, args.m_max + 1):
-            expected = trace_expansion(m, d)
-            plus = (QuadInt(d, 1, 1) ** m).trace()
-            minus = (QuadInt(d, 1, -1) ** m).trace()
-            trace_checked += 1
-            if not expected == plus == minus:
-                trace_failed += 1
-    ratio_checked = ratio_failed = 0
-    for m in range(4, args.ratio_m_max + 1):
-        for i in range(2, m // 2 + 1):
-            ratio_checked += 1
-            if not ratio_identity_check(m, i):
-                ratio_failed += 1
+    counts = identity_sweep(args.m_max, args.q_max, args.ratio_m_max)
     params = {
         "command": "identity",
         "m_max": args.m_max,
         "q_max": args.q_max,
         "ratio_m_max": args.ratio_m_max,
     }
-    records = [
-        {"check": "trace_expansion", "checked": trace_checked, "failed": trace_failed},
-        {"check": "ratio_identity", "checked": ratio_checked, "failed": ratio_failed},
-    ]
-    failed = trace_failed + ratio_failed
-    summary = {"checked": trace_checked + ratio_checked, "failed": failed,
-               "config_hash": _hash(params)}
-    text = [
-        f"trace_expansion: {trace_checked} pairs checked, {trace_failed} failed",
-        f"ratio_identity: {ratio_checked} pairs checked, {ratio_failed} failed",
-    ]
+    checked = sum(c for c, _ in counts.values())
+    failed = sum(f for _, f in counts.values())
+    records = [{"check": name, "checked": c, "failed": f} for name, (c, f) in counts.items()]
+    summary = {"checked": checked, "failed": failed, "config_hash": digest(params)}
+    text = [f"{name}: {c} pairs checked, {f} failed" for name, (c, f) in counts.items()]
     _emit(args, records, summary, text)
     if failed:
         print("theorem violation: algebraic identity failed", file=sys.stderr)
@@ -207,7 +173,7 @@ def _cmd_identity(args) -> int:
 def _cmd_bound(args) -> int:
     value = omega_bound_product(args.count)
     params = {"command": "bound", "count": args.count}
-    summary = {"value": value, "config_hash": _hash(params)}
+    summary = {"value": value, "config_hash": digest(params)}
     _emit(args, [{"count": args.count, "value": value}], summary, [str(value)])
     return EXIT_OK
 
@@ -224,47 +190,47 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="scan (q, alpha) ranges for equation solutions")
     p.add_argument("--equation", choices=("2nsq", "nsq"), required=True,
                    help="2nsq: 2n^2 = sigma(q^alpha); nsq: n^2 = sigma(q^alpha)")
-    p.add_argument("--q-min", type=_int_flag, default=3)
-    p.add_argument("--q-max", type=_int_flag, default=50_000)
-    p.add_argument("--alpha-min", type=_int_flag, default=1)
-    p.add_argument("--alpha-max", type=_int_flag, default=25)
-    p.add_argument("--q-mod4", type=_int_flag, choices=(1, 3), default=None,
+    p.add_argument("--q-min", type=int, default=3)
+    p.add_argument("--q-max", type=int, default=50_000)
+    p.add_argument("--alpha-min", type=int, default=1)
+    p.add_argument("--alpha-max", type=int, default=25)
+    p.add_argument("--q-mod4", type=int, choices=(1, 3), default=None,
                    help="restrict q to this residue mod 4")
-    p.add_argument("--jobs", type=_int_flag, default=1)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None,
                    help=f"checkpoint file; bare names resolve under ${CHECKPOINT_DIR_ENV}")
     common(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("certify", help="2-adic unit certificate for one (q, alpha)")
-    p.add_argument("--q", type=_int_flag, required=True)
-    p.add_argument("--alpha", type=_int_flag, required=True)
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--alpha", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("classify", help="abundancy / structure reports")
-    p.add_argument("--n", type=_int_flag, default=None, help="classify one integer")
+    p.add_argument("--n", type=int, default=None, help="classify one integer")
     p.add_argument("--dhp-scan", action="store_true",
                    help="list n <= --limit with the sigma(m) = q^alpha decomposition")
     p.add_argument("--multiperfect", action="store_true",
                    help="list (n, k) with sigma(n) = k*n up to --limit")
-    p.add_argument("--limit", type=_int_flag, default=None,
+    p.add_argument("--limit", type=int, default=None,
                    help="scan bound for --dhp-scan / --multiperfect")
     common(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("identity", help="run the algebraic identity suites")
-    p.add_argument("--m-max", type=_int_flag, default=60,
+    p.add_argument("--m-max", type=int, default=60,
                    help="largest power in the trace comparison")
-    p.add_argument("--q-max", type=_int_flag, default=200,
+    p.add_argument("--q-max", type=int, default=200,
                    help="primes q feeding d = 1 - q in the trace comparison")
-    p.add_argument("--ratio-m-max", type=_int_flag, default=200,
+    p.add_argument("--ratio-m-max", type=int, default=200,
                    help="largest m in the binomial ratio identity sweep")
     common(p)
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("bound", help="product of sigma(p^2) over the first odd primes")
-    p.add_argument("--count", type=_int_flag, required=True)
+    p.add_argument("--count", type=int, required=True)
     common(p)
     p.set_defaults(func=_cmd_bound)
 
@@ -282,9 +248,6 @@ def run(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except SearchInterrupted as exc:
-        print(f"interrupted: {exc}", file=sys.stderr)
-        return EXIT_IO
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

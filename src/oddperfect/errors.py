@@ -18,8 +18,3 @@ class ConsistencyError(RuntimeError):
 class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt, or belongs to a different
     search configuration.  The file on disk is never modified."""
-
-
-class SearchInterrupted(RuntimeError):
-    """A search stopped early (shard quota reached).  Completed shards are
-    preserved in the checkpoint file when one is configured."""

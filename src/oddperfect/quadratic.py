@@ -8,12 +8,11 @@ that delivers the final contradiction.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
-from .arith import binomial, is_prime, primality_is_proven, vp
+from .arith import binomial, is_prime, primality_is_proven, primes_upto, vp
 
 UnitSign = Literal[1, -1]
 
@@ -152,6 +151,35 @@ def ratio_identity_check(m: int, i: int) -> bool:
     return lhs == rhs
 
 
+def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[int, int]]:
+    """Check both identities over a grid; (checked, failed) per identity.
+
+    trace_expansion(m, 1 - q) is compared with the traces of (1 + sqrt(1-q))^m
+    and (1 - sqrt(1-q))^m for primes q <= q_max and 1 <= m <= m_max; the
+    ratio identity is checked for 4 <= m <= ratio_m_max and 2 <= i <= m/2.
+    """
+    trace_checked = trace_failed = 0
+    for q in primes_upto(q_max):
+        d = 1 - q
+        for m in range(1, m_max + 1):
+            expected = trace_expansion(m, d)
+            plus = (QuadInt(d, 1, 1) ** m).trace()
+            minus = (QuadInt(d, 1, -1) ** m).trace()
+            trace_checked += 1
+            if not expected == plus == minus:
+                trace_failed += 1
+    ratio_checked = ratio_failed = 0
+    for m in range(4, ratio_m_max + 1):
+        for i in range(2, m // 2 + 1):
+            ratio_checked += 1
+            if not ratio_identity_check(m, i):
+                ratio_failed += 1
+    return {
+        "trace_expansion": (trace_checked, trace_failed),
+        "ratio_identity": (ratio_checked, ratio_failed),
+    }
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of the 2-adic unit certificate for one (q, alpha) pair.
@@ -179,9 +207,6 @@ class CertificateReport:
             # q only passed a strong-probable-prime test; say so in the record
             data["primality"] = "probable"
         return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def two_adic_certificate(q: int, alpha: int) -> CertificateReport:

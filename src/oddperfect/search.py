@@ -11,12 +11,13 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .arith import gcd, isqrt_exact, primes_upto
-from .errors import CheckpointError, ConsistencyError, SearchInterrupted
+from .arith import isqrt_exact, primes_upto
+from .errors import CheckpointError, ConsistencyError
 
 #: Primes per shard.  Small enough that interrupt/resume granularity is
 #: useful, large enough that process overhead stays negligible.
@@ -71,7 +72,7 @@ class SearchConfig:
         worker_count and checkpoint_path are excluded on purpose: runs that
         differ only in those must produce identical reports.
         """
-        return hashlib.sha256(canonical_json(self.identity()).encode()).hexdigest()[:16]
+        return digest(self.identity())
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,11 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def digest(obj) -> str:
+    """16-hex SHA-256 prefix of the canonical JSON: the config hash of a run."""
+    return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+
+
 def split_solution(q: int, alpha: int, n: int) -> tuple[int, int]:
     """Split a 2n^2 = sigma(q^alpha) solution into its coprime halves.
 
@@ -149,14 +155,14 @@ def split_solution(q: int, alpha: int, n: int) -> tuple[int, int]:
             f"splitting lemma violated at (q={q}, alpha={alpha}, n={n}): "
             f"{sq1} or {sq2} is not a perfect square"
         )
-    if gcd(n1, n2) != 1 or n1 * n2 != n:
+    if math.gcd(n1, n2) != 1 or n1 * n2 != n:
         raise ConsistencyError(
             f"split ({n1}, {n2}) of (q={q}, alpha={alpha}) fails gcd/product check"
         )
     return n1, n2
 
 
-def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> tuple[list[tuple], int]:
+def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
     """Scan one block of primes; runs in a worker process.
 
     Returns plain tuples rather than SolutionRecords to keep the pickled
@@ -165,7 +171,6 @@ def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> tuple[list[tuple
     primes, equation_value, alpha_min, alpha_max = args
     two_nsq = equation_value == Equation.TWO_N_SQUARED.value
     hits: list[tuple] = []
-    skipped = 0
     for q in primes:
         sigma = 1
         power = 1
@@ -175,11 +180,8 @@ def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> tuple[list[tuple
             if alpha < alpha_min:
                 continue
             if two_nsq:
-                if alpha % 2 == 0:
-                    # sigma(q^alpha) is odd here, never 2n^2
-                    skipped += 1
-                    continue
                 if sigma % 2:
+                    # odd for every even alpha and for q = 2: never 2n^2
                     continue
                 n = isqrt_exact(sigma // 2)
                 if n is not None:
@@ -188,7 +190,7 @@ def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> tuple[list[tuple
                 n = isqrt_exact(sigma)
                 if n is not None:
                     hits.append((q, alpha, n, None))
-    return hits, skipped
+    return hits
 
 
 def _shards(primes: list[int]) -> list[tuple[int, ...]]:
@@ -206,25 +208,18 @@ def _eligible_primes(cfg: SearchConfig) -> list[int]:
     ]
 
 
-def run_search(cfg: SearchConfig, max_shards: int | None = None) -> SearchReport:
-    """Run the configured scan to completion (or for max_shards shards).
+def run_search(cfg: SearchConfig) -> SearchReport:
+    """Run the configured scan to completion.
 
     Results arrive in ascending (q, alpha) order whatever the worker count.
     With a checkpoint path configured, progress is saved after every shard
     and a previous run with the same config identity is continued instead of
-    restarted; the final report is byte-identical either way.  Stopping at
-    max_shards raises SearchInterrupted after saving.
+    restarted; the final report is byte-identical either way.
     """
     primes = _eligible_primes(cfg)
     shards = _shards(primes)
-    skip_per_prime = (
-        sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
-        if cfg.equation is Equation.TWO_N_SQUARED
-        else 0
-    )
 
     records: list[SolutionRecord] = []
-    skipped = 0
     start_shard = 0
     if cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path):
         state = checkpoint_resume(cfg.checkpoint_path)
@@ -234,27 +229,25 @@ def run_search(cfg: SearchConfig, max_shards: int | None = None) -> SearchReport
                 f"{state.config.config_hash()}, not {cfg.config_hash()}"
             )
         while start_shard < len(shards) and shards[start_shard][-1] <= state.cursor:
-            skipped += skip_per_prime * len(shards[start_shard])
             start_shard += 1
         records.extend(state.partial_hits)
 
-    done = 0
-    for shard, (hits, shard_skipped) in zip(
+    for shard, hits in zip(
         shards[start_shard:], _shard_results(cfg, shards[start_shard:])
     ):
         for q, alpha, n, split in hits:
             records.append(SolutionRecord(cfg.equation, q, alpha, n, split))
-        skipped += shard_skipped
         if cfg.checkpoint_path is not None:
             checkpoint_save(
                 CheckpointState(cfg, shard[-1], tuple(records)), cfg.checkpoint_path
             )
-        done += 1
-        if max_shards is not None and done >= max_shards:
-            raise SearchInterrupted(
-                f"stopped after {done} shard(s), cursor at prime {shard[-1]}"
-            )
-    return SearchReport(cfg, tuple(records), len(primes), skipped)
+    # sigma(q^alpha) is odd for even alpha: never 2n^2, for any scanned prime
+    skip_per_prime = (
+        sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
+        if cfg.equation is Equation.TWO_N_SQUARED
+        else 0
+    )
+    return SearchReport(cfg, tuple(records), len(primes), skip_per_prime * len(primes))
 
 
 def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
@@ -270,20 +263,6 @@ def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
         yield from pool.map(_scan_shard, payloads)
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
-
-
-def search_two_n_squared(cfg: SearchConfig) -> list[SolutionRecord]:
-    """All (q, alpha, n) in range with 2n^2 = sigma(q^alpha), split attached."""
-    if cfg.equation is not Equation.TWO_N_SQUARED:
-        raise ValueError(f"config is for {cfg.equation.value}, not 2nsq")
-    return list(run_search(cfg).records)
-
-
-def search_n_squared(cfg: SearchConfig) -> list[SolutionRecord]:
-    """All (q, beta, n) in range with n^2 = sigma(q^beta)."""
-    if cfg.equation is not Equation.N_SQUARED:
-        raise ValueError(f"config is for {cfg.equation.value}, not nsq")
-    return list(run_search(cfg).records)
 
 
 @dataclass(frozen=True)
@@ -347,13 +326,3 @@ def checkpoint_resume(path: str) -> CheckpointState:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} is malformed: {exc}") from exc
 
-
-def resume_config(path: str, **overrides) -> SearchConfig:
-    """Rebuild a runnable SearchConfig from a checkpoint file.
-
-    worker_count and checkpoint_path are not part of the stored identity;
-    pass them as overrides (checkpoint_path defaults to the file itself).
-    """
-    state = checkpoint_resume(path)
-    overrides.setdefault("checkpoint_path", path)
-    return replace(state.config, **overrides)

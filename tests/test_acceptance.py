@@ -6,18 +6,14 @@ exact equality everywhere, plus wall-clock ceilings where one is given.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 
-from oddperfect.arith import gcd, primes_upto
+import oddperfect.search
+from oddperfect.arith import primes_upto
 from oddperfect.classify import chenluo_check, dhp_scan, omega_bound_product
-from oddperfect.errors import SearchInterrupted
-from oddperfect.quadratic import (
-    QuadInt,
-    ratio_identity_check,
-    trace_expansion,
-    two_adic_certificate,
-)
+from oddperfect.quadratic import identity_sweep, two_adic_certificate
 from oddperfect.search import Equation, SearchConfig, run_search
 
 from _oracles import search_solutions
@@ -135,23 +131,10 @@ def test_criterion_06_two_adic_certificate_suite():
 
 
 def test_criterion_07_algebraic_identity_suite():
-    trace_ok = True
-    for q in primes_upto(200):
-        d = 1 - q
-        if d >= 0:
-            continue
-        plus, minus = QuadInt(d, 1, 1), QuadInt(d, 1, -1)
-        for m in range(1, 61):
-            expected = trace_expansion(m, d)
-            if not (plus**m).trace() == (minus**m).trace() == expected:
-                trace_ok = False
-    ratio_ok = all(
-        ratio_identity_check(m, i)
-        for m in range(4, 201)
-        for i in range(2, m // 2 + 1)
-    )
+    counts = identity_sweep(m_max=60, q_max=200, ratio_m_max=200)
+    identities_ok = all(failed == 0 for _, failed in counts.values())
     gcd_ok = all(
-        gcd(q**m - 1, q**m + 1) == 2
+        math.gcd(q**m - 1, q**m + 1) == 2
         for q in range(3, 1001, 2)
         for m in range(1, 51)
     )
@@ -159,7 +142,7 @@ def test_criterion_07_algebraic_identity_suite():
         7,
         "trace expansion (m <= 60, q <= 200), binomial ratio identity "
         "(m <= 200), gcd(q^m - 1, q^m + 1) = 2 (odd q <= 10^3, m <= 50)",
-        trace_ok and ratio_ok and gcd_ok,
+        identities_ok and gcd_ok,
     )
 
 
@@ -189,7 +172,7 @@ def test_criterion_09_oracle_equivalence():
     _report(9, "both searches match the naive oracle on q <= 500, alpha <= 8", ok)
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     configs = [
         SearchConfig(Equation.TWO_N_SQUARED, q_min=3, q_max=50_000,
                      alpha_min=3, alpha_max=25, residue_filter=1),
@@ -213,15 +196,26 @@ def test_criterion_10_determinism(tmp_path):
         workers_ok = workers_ok and len(outputs) == 1
         baselines.append(outputs.pop())
 
-    # one interrupt/resume cycle must reproduce the uninterrupted bytes
+    # one interrupt/resume cycle must reproduce the uninterrupted bytes:
+    # the third shard raises KeyboardInterrupt, after two were checkpointed
     cfg = SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
                        alpha_min=1, alpha_max=25,
                        checkpoint_path=str(tmp_path / "resume.ckpt"))
+    scan, calls = oddperfect.search._scan_shard, []
+
+    def interrupting_scan(args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return scan(args)
+
+    monkeypatch.setattr(oddperfect.search, "_scan_shard", interrupting_scan)
     try:
-        run_search(cfg, max_shards=2)
+        run_search(cfg)
         interrupted = False
-    except SearchInterrupted:
+    except KeyboardInterrupt:
         interrupted = True
+    monkeypatch.undo()
     resumed = run_search(cfg).to_jsonl()
     _report(
         10,

@@ -18,6 +18,7 @@ from oddperfect.classify import (
     omega_bound_product,
     sigma_table,
 )
+from oddperfect.search import canonical_json
 from _oracles import sigma_divisor_sum, v2_int
 
 
@@ -236,6 +237,6 @@ class TestClassifyReport:
         assert report.dhp is None and report.chenluo is None
 
     def test_json_shape(self):
-        data = json.loads(classify_report(672).to_json())
+        data = json.loads(canonical_json(classify_report(672).as_dict()))
         assert set(data) == {"n", "sigma", "k", "euler_form", "dhp", "chenluo"}
         assert data["dhp"] == {"m": 21, "q": 2, "alpha": 5}

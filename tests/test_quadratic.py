@@ -6,15 +6,18 @@ import random
 
 import pytest
 
+import oddperfect.quadratic
 from oddperfect.arith import primes_upto
 from oddperfect.quadratic import (
     QuadInt,
     divides,
+    identity_sweep,
     ratio_identity_check,
     trace_expansion,
     two_adic_certificate,
     unit_group,
 )
+from oddperfect.search import canonical_json
 
 
 class TestQuadIntRing:
@@ -179,6 +182,23 @@ class TestRatioIdentity:
                 assert ratio_identity_check(m, i), (m, i)
 
 
+class TestIdentitySweep:
+    def test_counts_every_pair(self):
+        # 4 primes <= 10 times m = 1..4; m = 4..8 has 1+1+2+2+3 pairs (m, i)
+        assert identity_sweep(m_max=4, q_max=10, ratio_m_max=8) == {
+            "trace_expansion": (16, 0),
+            "ratio_identity": (9, 0),
+        }
+
+    def test_counts_failures(self, monkeypatch):
+        # a trace 2a is even, so an odd closed form fails every pair
+        monkeypatch.setattr(oddperfect.quadratic, "trace_expansion", lambda m, d: 1)
+        assert identity_sweep(m_max=4, q_max=10, ratio_m_max=3) == {
+            "trace_expansion": (16, 16),
+            "ratio_identity": (0, 0),
+        }
+
+
 class TestTwoAdicCertificate:
     def test_empty_sum_case(self):
         report = two_adic_certificate(13, 3)
@@ -211,7 +231,7 @@ class TestTwoAdicCertificate:
 
     def test_json_shape(self):
         report = two_adic_certificate(5, 11)
-        data = json.loads(report.to_json())
+        data = json.loads(canonical_json(report.as_dict()))
         assert set(data) == {"q", "alpha", "summands", "v2_total", "passed"}
         assert data["q"] == 5 and data["alpha"] == 11
         assert all(set(s) == {"i", "v2"} for s in data["summands"])

@@ -6,19 +6,18 @@ import json
 import pytest
 
 from oddperfect.arith import primes_upto
-from oddperfect.errors import CheckpointError, ConsistencyError, SearchInterrupted
+import oddperfect.search
+from oddperfect.errors import CheckpointError, ConsistencyError
 from oddperfect.quadratic import QuadInt
 from oddperfect.search import (
+    SHARD_PRIMES,
     CheckpointState,
     Equation,
     SearchConfig,
     SolutionRecord,
     checkpoint_resume,
     checkpoint_save,
-    resume_config,
     run_search,
-    search_n_squared,
-    search_two_n_squared,
     split_solution,
 )
 
@@ -31,6 +30,19 @@ def two_nsq(**kw):
 
 def nsq(**kw):
     return SearchConfig(Equation.N_SQUARED, **kw)
+
+
+def interrupt_at_shard(monkeypatch, k):
+    """Make the k-th shard scanned (0-based) raise KeyboardInterrupt."""
+    real, calls = oddperfect.search._scan_shard, []
+
+    def scan(args):
+        calls.append(args)
+        if len(calls) == k + 1:
+            raise KeyboardInterrupt
+        return real(args)
+
+    monkeypatch.setattr(oddperfect.search, "_scan_shard", scan)
 
 
 class TestConfig:
@@ -55,21 +67,21 @@ class TestConfig:
 
 class TestTwoNSquared:
     def test_small_range_hits(self):
-        records = search_two_n_squared(two_nsq(q_min=3, q_max=100, alpha_max=9))
+        records = run_search(two_nsq(q_min=3, q_max=100, alpha_max=9)).records
         by_key = {(r.q, r.alpha): r for r in records}
         assert by_key[(7, 1)].n == 2 and by_key[(7, 1)].split == (1, 2)
         assert by_key[(17, 1)].n == 3 and by_key[(17, 1)].split == (1, 3)
         assert by_key[(31, 1)].n == 4 and by_key[(31, 1)].split == (1, 4)
 
     def test_even_alpha_only_range_is_empty(self):
-        assert search_two_n_squared(two_nsq(q_min=3, q_max=3, alpha_min=2, alpha_max=2)) == []
+        assert run_search(two_nsq(q_min=3, q_max=3, alpha_min=2, alpha_max=2)).records == ()
 
     def test_records_satisfy_equation(self):
-        for r in search_two_n_squared(two_nsq(q_max=300, alpha_max=9)):
+        for r in run_search(two_nsq(q_max=300, alpha_max=9)).records:
             assert 2 * r.n**2 == sigma_prime_power_sum(r.q, r.alpha)
 
     def test_split_equations_reverify(self):
-        for r in search_two_n_squared(two_nsq(q_max=300, alpha_max=9)):
+        for r in run_search(two_nsq(q_max=300, alpha_max=9)).records:
             n1, n2 = r.split
             half = r.q ** ((r.alpha + 1) // 2)
             assert (r.q - 1) * n1**2 == half - 1
@@ -78,37 +90,34 @@ class TestTwoNSquared:
 
     def test_norm_cross_check(self):
         # the split ties back to the order: norm(1 + n1 sqrt(1-q)) = q^((a+1)/2)
-        for r in search_two_n_squared(two_nsq(q_max=300, alpha_max=9)):
+        for r in run_search(two_nsq(q_max=300, alpha_max=9)).records:
             n1, _ = r.split
             assert QuadInt(1 - r.q, 1, n1).norm() == r.q ** ((r.alpha + 1) // 2)
-
-    def test_wrong_equation_config_rejected(self):
-        with pytest.raises(ValueError):
-            search_two_n_squared(nsq())
 
 
 class TestNSquared:
     def test_small_range_hits(self):
-        records = search_n_squared(nsq(q_min=3, q_max=100, alpha_max=9))
+        records = run_search(nsq(q_min=3, q_max=100, alpha_max=9)).records
         triples = [(r.q, r.alpha, r.n) for r in records]
         assert (3, 1, 2) in triples
         assert (7, 3, 20) in triples
         assert all(r.split is None for r in records)
 
     def test_records_satisfy_equation(self):
-        for r in search_n_squared(nsq(q_max=300, alpha_max=9)):
+        for r in run_search(nsq(q_max=300, alpha_max=9)).records:
             assert r.n**2 == sigma_prime_power_sum(r.q, r.alpha)
 
     def test_residue_one_empty(self):
-        assert search_n_squared(nsq(q_min=5, q_max=2000, alpha_max=12, residue_filter=1)) == []
+        cfg = nsq(q_min=5, q_max=2000, alpha_max=12, residue_filter=1)
+        assert run_search(cfg).records == ()
 
 
 class TestResidueExclusivity:
     def test_no_forbidden_hits_in_unfiltered_runs(self):
         # the theorems say these shapes cannot occur, filter or not
-        for r in search_two_n_squared(two_nsq(q_max=2000, alpha_max=12)):
+        for r in run_search(two_nsq(q_max=2000, alpha_max=12)).records:
             assert not (r.q % 4 == 1 and r.alpha > 1), r
-        for r in search_n_squared(nsq(q_max=2000, alpha_max=12)):
+        for r in run_search(nsq(q_max=2000, alpha_max=12)).records:
             assert r.q % 4 != 1, r
 
 
@@ -186,16 +195,22 @@ class TestWorkerDeterminism:
 
 
 class TestCheckpointing:
-    def test_fresh_interrupt_resume_cycle(self, tmp_path):
+    def test_fresh_interrupt_resume_cycle(self, tmp_path, monkeypatch):
         path = str(tmp_path / "scan.ckpt")
         cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path)
-        with pytest.raises(SearchInterrupted):
-            run_search(cfg, max_shards=1)
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, 1)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(cfg)
         state = checkpoint_resume(path)
-        assert state.cursor > 0
+        # the checkpoint written after shard 0 survives the interrupt
+        eligible = [p for p in primes_upto(3000) if p >= 3]
+        assert state.cursor == eligible[SHARD_PRIMES - 1]
         resumed = run_search(cfg)
         clean = run_search(two_nsq(q_max=3000, alpha_max=9))
         assert resumed.to_jsonl() == clean.to_jsonl()
+        # alphas 2, 4, 6, 8 for every prime, those of the resumed shard too
+        assert resumed.skipped_even_alpha == 4 * resumed.scanned_primes == 4 * len(eligible)
 
     def test_completed_run_resume_is_stable(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
@@ -204,10 +219,12 @@ class TestCheckpointing:
         again = run_search(cfg)
         assert first.to_jsonl() == again.to_jsonl()
 
-    def test_mismatched_config_rejected(self, tmp_path):
+    def test_mismatched_config_rejected(self, tmp_path, monkeypatch):
         path = str(tmp_path / "scan.ckpt")
-        with pytest.raises(SearchInterrupted):
-            run_search(two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path), max_shards=1)
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, 1)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path))
         with pytest.raises(CheckpointError):
             run_search(two_nsq(q_max=3001, alpha_max=9, checkpoint_path=path))
 
@@ -233,15 +250,6 @@ class TestCheckpointing:
         assert state.cursor == 97
         assert state.partial_hits == (record,)
         assert state.config.config_hash() == cfg.config_hash()
-
-    def test_resume_config_restores_identity(self, tmp_path):
-        path = str(tmp_path / "state.ckpt")
-        cfg = nsq(q_max=750, alpha_max=4)
-        checkpoint_save(CheckpointState(cfg, 13, ()), path)
-        restored = resume_config(path, worker_count=2)
-        assert restored.q_max == 750
-        assert restored.worker_count == 2
-        assert restored.checkpoint_path == path
 
     def test_unwritable_checkpoint_path_raises(self, tmp_path):
         cfg = two_nsq(q_max=100, alpha_max=3,
