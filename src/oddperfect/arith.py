@@ -5,6 +5,7 @@ naturals, ``fractions.Fraction`` for exact rationals.  No floating point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,8 @@ PROBABLE_PRIME_WITNESSES = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-DEFAULT_FACTOR_BOUND = 10**6
+#: factorize trial-divides by every prime up to this bound.
+FACTOR_BOUND = 10**6
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -151,33 +153,27 @@ class Factorization:
         return len(self.factors)
 
 
-_trial_primes: list[int] = []
-_trial_limit = 0
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    # sieved on the first factorize call, not at import
+    return tuple(primes_upto(FACTOR_BOUND))
 
 
-def _trial_prime_list(limit: int) -> list[int]:
-    global _trial_primes, _trial_limit
-    if limit > _trial_limit:
-        _trial_limit = max(limit, DEFAULT_FACTOR_BOUND)
-        _trial_primes = primes_upto(_trial_limit)
-    return _trial_primes
-
-
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
-    """Factor n >= 1 by trial division up to ``bound``.
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division up to ``FACTOR_BOUND``.
 
     The surviving cofactor is accepted if (probable) prime or provably prime
-    because it is below bound**2; a composite cofactor beyond the bound raises
-    FactorBoundError rather than producing a wrong answer.
+    because it is below FACTOR_BOUND**2; a composite cofactor beyond that
+    raises FactorBoundError rather than producing a wrong answer.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     c = n
-    if c >= bound and is_prime(c):
+    if c >= FACTOR_BOUND and is_prime(c):
         return Factorization(((c, 1),))
-    for p in _trial_prime_list(bound):
-        if p > bound or p * p > c:
+    for p in _trial_primes():
+        if p * p > c:
             break
         if c % p == 0:
             e = 0
@@ -186,17 +182,17 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> Factorization:
                 e += 1
             factors.append((p, e))
             # big prime cofactors are common; skip the rest of the scan
-            if c >= bound and is_prime(c):
+            if c >= FACTOR_BOUND and is_prime(c):
                 factors.append((c, 1))
                 c = 1
                 break
     if c > 1:
-        if c <= bound * bound or is_prime(c):
-            # no factor <= bound and c <= bound^2 forces primality
+        if c <= FACTOR_BOUND * FACTOR_BOUND or is_prime(c):
+            # no factor <= FACTOR_BOUND and c <= FACTOR_BOUND^2 forces primality
             factors.append((c, 1))
         else:
             raise FactorBoundError(
-                f"cofactor {c} of {n} is composite with no factor <= {bound}"
+                f"cofactor {c} of {n} is composite with no factor <= {FACTOR_BOUND}"
             )
     return Factorization(tuple(factors))
 

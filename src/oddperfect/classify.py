@@ -38,80 +38,68 @@ def abundancy(n: int) -> tuple[int, int | None]:
     return s, (k if rem == 0 else None)
 
 
-def sigma_table(limit: int) -> np.ndarray:
-    """sigma(n) for every n <= limit, as an int64 array (index 0 unused).
+#: n per sieve segment of the multiperfect scans: bounds their memory at a few
+#: hundred MB whatever the limit.  Even, so every segment starts at an odd n.
+_SEGMENT = 1 << 22
 
-    Divisor-pair accumulation: each d <= sqrt(limit) stamps itself on its
-    multiples (small side) and stamps the cofactor on the same cells (large
-    side), so the loop is sqrt(limit) numpy slice-adds instead of a scan.
+
+def _sigma_segment(lo: int, hi: int, step: int) -> np.ndarray:
+    """sigma(n) at index n - lo for n in [lo, hi), by divisor-pair stamping.
+
+    Each d <= sqrt(hi - 1) stamps itself on its multiples d*m with m >= d
+    (small side) and stamps the cofactor m > d on the same cells (large side),
+    so the loop is sqrt(hi) numpy slice-adds instead of a scan.  step = 1
+    covers every n; step = 2 stamps only odd d and odd cofactors, which is
+    every divisor of an odd n at half the work, and leaves even-n entries
+    meaningless.
     """
+    t = np.zeros(hi - lo, dtype=np.int64)
+    top = hi - 1
+    for d in range(1, math.isqrt(top) + 1, step):
+        m_hi = top // d
+        m0 = max(d, -(-lo // d))
+        m0 += (m0 + 1) % step  # step 2: the first odd cofactor
+        t[d * m0 - lo : d * m_hi - lo + 1 : step * d] += d
+        m1 = max(m0, d + step)
+        t[d * m1 - lo : d * m_hi - lo + 1 : step * d] += np.arange(
+            m1, m_hi + 1, step, dtype=np.int64
+        )
+    return t
+
+
+def sigma_table(limit: int) -> np.ndarray:
+    """sigma(n) for every n <= limit, as an int64 array (index 0 holds 0)."""
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    t = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, math.isqrt(limit) + 1):
-        t[d * d :: d] += d
-        m_hi = limit // d
-        if m_hi > d:
-            t[d * (d + 1) :: d] += np.arange(d + 1, m_hi + 1, dtype=np.int64)
-    return t
+    return _sigma_segment(0, limit + 1, 1)
+
+
+def _multiperfect(limit: int, step: int) -> list[tuple[int, int]]:
+    """(n, k) with sigma(n) = k*n for n = 1, 1 + step, ... <= limit, ascending."""
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    out: list[tuple[int, int]] = []
+    for lo in range(1, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
+        s_vals = _sigma_segment(lo, hi, step)[::step]
+        n_vals = np.arange(lo, hi, step, dtype=np.int64)
+        for i in np.nonzero(s_vals % n_vals == 0)[0]:
+            out.append((int(n_vals[i]), int(s_vals[i] // n_vals[i])))
+    return out
 
 
 def enumerate_multiperfect(limit: int) -> list[tuple[int, int]]:
     """All (n, k) with n <= limit and sigma(n) = k*n, ascending in n."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    t = sigma_table(limit)
-    n_vals = np.arange(1, limit + 1, dtype=np.int64)
-    s_vals = t[1:]
-    hits = np.nonzero(s_vals % n_vals == 0)[0]
-    return [(int(n_vals[i]), int(s_vals[i] // n_vals[i])) for i in hits]
+    return _multiperfect(limit, 1)
 
 
-def _odd_sigma_segment(lo: int, hi: int) -> np.ndarray:
-    """sigma(n) for odd n in [lo, hi); entries at even offsets are garbage.
-
-    Only odd d are stamped (every divisor of an odd number is odd), which
-    also halves the work against the full-table sieve.
-    """
-    t = np.zeros(hi - lo, dtype=np.int64)
-    top = hi - 1
-    for d in range(1, math.isqrt(top) + 1, 2):
-        m_hi = top // d
-        m0 = max(d, -(-lo // d))
-        if m0 % 2 == 0:
-            m0 += 1
-        if m0 <= m_hi:
-            t[d * m0 - lo : d * m_hi - lo + 1 : 2 * d] += d
-        m1 = max(d + 2, m0)
-        if m1 % 2 == 0:
-            m1 += 1
-        if m1 <= m_hi:
-            t[d * m1 - lo : d * m_hi - lo + 1 : 2 * d] += np.arange(
-                m1, m_hi + 1, 2, dtype=np.int64
-            )
-    return t
-
-
-def odd_multiperfect_upto(limit: int, segment_size: int = 1 << 22) -> list[tuple[int, int]]:
-    """All odd (n, k) with n <= limit and sigma(n) = k*n, by segmented sieve.
+def odd_multiperfect_upto(limit: int) -> list[tuple[int, int]]:
+    """All odd (n, k) with n <= limit and sigma(n) = k*n, ascending in n.
 
     Exists to run the desk-scale emptiness scan (no odd multiperfect number
-    except 1) at limits where a full sigma table would not fit in memory.
+    except 1) at twice the speed of the all-n scan.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    out: list[tuple[int, int]] = []
-    lo = 1
-    while lo <= limit:
-        hi = min(lo + segment_size, limit + 1)
-        t = _odd_sigma_segment(lo, hi)
-        n_vals = np.arange(lo if lo % 2 else lo + 1, hi, 2, dtype=np.int64)
-        s_vals = t[n_vals - lo]
-        for i in np.nonzero(s_vals % n_vals == 0)[0]:
-            n = int(n_vals[i])
-            out.append((n, int(s_vals[i]) // n))
-        lo = hi
-    return out
+    return _multiperfect(limit, 2)
 
 
 def dhp_decompose(n: int) -> tuple[int, int, int] | None:

@@ -5,7 +5,10 @@ Exit codes are part of the contract:
   1  usage error: bad flags or bad parameter values
   2  theorem violation: a hit in a range a theorem proves empty, a failing
      certificate, or a tripped internal consistency check
-  3  I/O error (checkpoint or output)
+  3  I/O error: an unwritable output, or a checkpoint that is unreadable,
+     belongs to another search, or holds a hit the search does not find
+  130  interrupted (Ctrl-C); a search resumes from its checkpoint, if it
+       has one, when the same command is run again
 """
 from __future__ import annotations
 
@@ -21,12 +24,13 @@ from .classify import (
 )
 from .errors import CheckpointError, ConsistencyError
 from .quadratic import identity_sweep, two_adic_certificate
-from .search import Equation, SearchConfig, canonical_json, digest, run_search
+from .search import Equation, SearchConfig, canonical_json, digest, jsonl, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 EXIT_IO = 3
+EXIT_INTERRUPTED = 130
 
 CHECKPOINT_DIR_ENV = "ODDPERFECT_CHECKPOINT_DIR"
 
@@ -42,9 +46,7 @@ class _Parser(argparse.ArgumentParser):
 def _emit(args, records: list[dict], summary: dict, text_lines: list[str]) -> None:
     """Write either the jsonl contract or the human-readable text form."""
     if args.format == "jsonl":
-        for rec in records:
-            print(canonical_json(rec))
-        print(canonical_json(summary))
+        sys.stdout.write(jsonl(records, summary))
     else:
         for line in text_lines:
             print(line)
@@ -254,6 +256,11 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        checkpoint = _checkpoint_path(getattr(args, "checkpoint", None))
+        resume = f"; rerun to resume from checkpoint {checkpoint}" if checkpoint else ""
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def main() -> None:

@@ -2,9 +2,9 @@
 
 
 class FactorBoundError(RuntimeError):
-    """A cofactor survived trial division, is not probable-prime, and exceeds
-    the configured factoring bound.  Raised instead of returning a wrong
-    factorization."""
+    """A cofactor survived trial division by every prime up to
+    ``arith.FACTOR_BOUND``, is not probable-prime, and exceeds that bound
+    squared.  Raised instead of returning a wrong factorization."""
 
 
 class ConsistencyError(RuntimeError):

@@ -8,11 +8,13 @@ golden-file and resume testing possible.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import hashlib
 import json
 import math
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -115,15 +117,18 @@ class SearchReport:
         }
 
     def to_jsonl(self) -> str:
-        """One JSON object per record, then the summary object, newline-terminated."""
-        lines = [canonical_json(r.as_dict()) for r in self.records]
-        lines.append(canonical_json(self.summary()))
-        return "\n".join(lines) + "\n"
+        """The report in the JSONL wire form: its records, then its summary."""
+        return jsonl([r.as_dict() for r in self.records], self.summary())
 
 
 def canonical_json(obj) -> str:
     """Key-sorted, whitespace-free JSON — the byte-stable wire form."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl(records: list[dict], summary: dict) -> str:
+    """One JSON object per record, then the summary object, newline-terminated."""
+    return "".join(canonical_json(obj) + "\n" for obj in [*records, summary])
 
 
 def digest(obj) -> str:
@@ -230,7 +235,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             )
         while start_shard < len(shards) and shards[start_shard][-1] <= state.cursor:
             start_shard += 1
-        records.extend(state.partial_hits)
+        records.extend(_resumed_hits(cfg, primes, state))
 
     for shard, hits in zip(
         shards[start_shard:], _shard_results(cfg, shards[start_shard:])
@@ -250,14 +255,51 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     return SearchReport(cfg, tuple(records), len(primes), skip_per_prime * len(primes))
 
 
+def _resumed_hits(
+    cfg: SearchConfig, primes: list[int], state: CheckpointState
+) -> list[SolutionRecord]:
+    """The checkpoint's hits, each as rescanning its (q, alpha) finds it again.
+
+    Raises CheckpointError unless every saved hit carries the run's equation,
+    an eligible q no later than the cursor and an alpha in range, comes in
+    strictly ascending (q, alpha) order, and equals what that rescan returns.
+    """
+    hits: list[SolutionRecord] = []
+    for r in state.partial_hits:
+        try:
+            i = bisect.bisect_left(primes, r.q)
+            ok = (
+                r.equation is cfg.equation
+                and i < len(primes)
+                and primes[i] == r.q <= state.cursor
+                and cfg.alpha_min <= r.alpha <= cfg.alpha_max
+                and (not hits or (hits[-1].q, hits[-1].alpha) < (r.q, r.alpha))
+            )
+            again = _scan_shard(((r.q,), cfg.equation.value, r.alpha, r.alpha)) if ok else []
+        except TypeError:  # a field of the wrong JSON type
+            again = []
+        if again != [(r.q, r.alpha, r.n, r.split)]:
+            raise CheckpointError(
+                f"checkpoint {cfg.checkpoint_path} holds a hit this search does "
+                f"not find: {canonical_json(r.as_dict())}"
+            )
+        hits.append(SolutionRecord(cfg.equation, *again[0]))
+    return hits
+
+
 def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
     payloads = [
         (shard, cfg.equation.value, cfg.alpha_min, cfg.alpha_max) for shard in shards
     ]
-    if cfg.worker_count == 1:
+    # a pool starts all its workers at once: never more than there is work or CPUs
+    workers = min(cfg.worker_count, len(shards), os.cpu_count() or 1)
+    if workers <= 1:
         yield from map(_scan_shard, payloads)
         return
-    pool = ProcessPoolExecutor(max_workers=cfg.worker_count)
+    # workers ignore Ctrl-C, so only this process handles it
+    pool = ProcessPoolExecutor(
+        workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
+    )
     try:
         # executor.map preserves submission order, so merge order is fixed
         yield from pool.map(_scan_shard, payloads)

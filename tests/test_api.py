@@ -24,3 +24,8 @@ def test_removed_names_are_gone():
 
 def test_run_search_takes_only_a_config():
     assert list(inspect.signature(oddperfect.run_search).parameters) == ["cfg"]
+
+
+def test_size_parameters_are_constants():
+    for fn in (oddperfect.factorize, oddperfect.odd_multiperfect_upto):
+        assert len(inspect.signature(fn).parameters) == 1, fn.__name__

@@ -104,7 +104,7 @@ class TestFactorize:
     def test_composite_cofactor_beyond_bound_raises(self):
         n = 1_000_003 * 1_000_033 * 1_000_037
         with pytest.raises(FactorBoundError):
-            factorize(n, bound=10**6)
+            factorize(n)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):

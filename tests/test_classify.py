@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oddperfect import classify
 from oddperfect.classify import (
     abundancy,
     chenluo_check,
@@ -70,17 +71,19 @@ class TestOddSegmentedScan:
         odd_full = [(n, k) for n, k in enumerate_multiperfect(10**5) if n % 2]
         assert odd_multiperfect_upto(10**5) == odd_full == [(1, 1)]
 
-    def test_segment_size_does_not_matter(self):
-        assert odd_multiperfect_upto(5000, segment_size=64) == \
-            odd_multiperfect_upto(5000, segment_size=4096)
+    def test_segment_size_does_not_matter(self, monkeypatch):
+        full, odd = enumerate_multiperfect(5000), odd_multiperfect_upto(5000)
+        monkeypatch.setattr(classify, "_SEGMENT", 64)
+        assert enumerate_multiperfect(5000) == full
+        assert odd_multiperfect_upto(5000) == odd
 
-    def test_segment_values_match_divisor_sums(self):
-        from oddperfect.classify import _odd_sigma_segment
-
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_segment_values_match_divisor_sums(self, step):
         lo, hi = 1234, 3457  # deliberately unaligned ends
-        seg = _odd_sigma_segment(lo, hi)
-        for n in range(lo + 1, hi, 2):
-            assert int(seg[n - lo]) == sigma_divisor_sum(n), n
+        seg = classify._sigma_segment(lo, hi, step)
+        for n in range(lo, hi):
+            if step == 1 or n % 2:
+                assert int(seg[n - lo]) == sigma_divisor_sum(n), n
 
     def test_no_odd_multiperfect_below_hundred_million(self):
         # emptiness scan, not a theorem: no odd n <= 10^8 except 1 has

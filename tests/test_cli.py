@@ -79,6 +79,36 @@ class TestSearchCommand:
         )
         assert code == 3
 
+    def test_injected_checkpoint_hit_exits_three(self, capsys, tmp_path):
+        ckpt = tmp_path / "empty.ckpt"
+        argv = ["search", "--equation", "2nsq", "--q-max", "2000", "--q-mod4", "1",
+                "--alpha-min", "3", "--alpha-max", "11", "--checkpoint", str(ckpt)]
+        assert cli.run(argv) == 0
+        payload = json.loads(ckpt.read_text())
+        payload["partial_hits"].append(
+            {"equation": "2nsq", "q": 13, "alpha": 3, "n": 99, "n1": 9, "n2": 11}
+        )
+        ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.run(argv) == 3
+        assert "i/o error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("checkpoint", [None, "scan.ckpt"])
+    def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, checkpoint):
+        def interrupted(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.delenv(cli.CHECKPOINT_DIR_ENV, raising=False)
+        monkeypatch.setattr(cli, "run_search", interrupted)
+        argv = ["search", "--equation", "nsq"]
+        if checkpoint:
+            argv += ["--checkpoint", checkpoint]
+        assert cli.run(argv) == cli.EXIT_INTERRUPTED == 130
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("interrupted") and captured.err.count("\n") == 1
+        assert ("scan.ckpt" in captured.err) == bool(checkpoint)
+
 
 class TestViolationDetector:
     def fake_report(self, record):

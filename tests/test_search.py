@@ -194,7 +194,76 @@ class TestWorkerDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestWorkerCap:
+    @pytest.mark.parametrize("q_max, cpus, pools", [
+        (3000, 64, [4]),
+        (3000, 3, [3]),
+        (3000, None, []),
+        (500, 64, []),
+    ], ids=["4_shards", "3_cpus", "cpus_unknown", "1_shard"])
+    def test_pool_never_exceeds_shards_or_cpus(self, monkeypatch, q_max, cpus, pools):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+            def shutdown(self, **kwargs):
+                pass
+
+        monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: cpus)
+        report = run_search(two_nsq(q_max=q_max, alpha_max=9, worker_count=100_000))
+        assert sizes == pools
+        assert report.to_jsonl() == run_search(two_nsq(q_max=q_max, alpha_max=9)).to_jsonl()
+
+
+# nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
+NSQ = dict(equation=Equation.N_SQUARED, alpha_min=2, alpha_max=4)
+# 2nsq hits at q = 17, 97, 241 (alpha = 1); the hit at q = 7 is 3 mod 4
+TWO_NSQ = dict(equation=Equation.TWO_N_SQUARED, residue_filter=1, alpha_max=1)
+
+
+def hit(equation, q, alpha, n, split=(None, None)):
+    return {"equation": equation, "q": q, "alpha": alpha, "n": n,
+            "n1": split[0], "n2": split[1]}
+
+
 class TestCheckpointing:
+    @pytest.mark.parametrize("search, edit", [
+        (NSQ, lambda p, hits: hits[0].update(n=hits[0]["n"] + 1)),
+        (TWO_NSQ, lambda p, hits: hits[0].update(equation="nsq")),
+        (TWO_NSQ, lambda p, hits: hits.append(dict(hits[-1]))),
+        (TWO_NSQ, lambda p, hits: hits.reverse()),
+        (NSQ, lambda p, hits: hits.insert(0, hit("nsq", 3, 1, 2))),
+        (TWO_NSQ, lambda p, hits: hits.insert(0, hit("2nsq", 7, 1, 2, (1, 2)))),
+        (TWO_NSQ, lambda p, hits: hits.append(hit("2nsq", 449, 1, 15, (1, 15)))),
+        (NSQ, lambda p, hits: hits[0].update(q=str(hits[0]["q"]))),
+        (TWO_NSQ, lambda p, hits: p.update(last_completed_prime=17)),
+    ], ids=["wrong_n", "wrong_equation", "duplicate", "descending", "alpha_out_of_range",
+            "q_not_eligible", "q_above_q_max", "q_not_int", "q_beyond_cursor"])
+    def test_resumed_hits_are_verified(self, tmp_path, search, edit):
+        path = tmp_path / "scan.ckpt"
+        cfg = SearchConfig(q_max=300, checkpoint_path=str(path), **search)
+        assert len(run_search(cfg).records) in (2, 3)
+        payload = json.loads(path.read_text())
+        edit(payload, payload["partial_hits"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError):
+            run_search(cfg)
+
+    def test_resumed_hits_are_reported_as_rescanned(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        cfg = SearchConfig(q_max=300, checkpoint_path=str(path), **TWO_NSQ)
+        clean = run_search(cfg).to_jsonl()
+        payload = json.loads(path.read_text())
+        payload["partial_hits"][0]["alpha"] = True  # equal to 1, but not an int in JSON
+        path.write_text(json.dumps(payload))
+        assert run_search(cfg).to_jsonl() == clean
+
     def test_fresh_interrupt_resume_cycle(self, tmp_path, monkeypatch):
         path = str(tmp_path / "scan.ckpt")
         cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path)
