@@ -49,13 +49,10 @@ from .quadratic import (
     unit_group,
 )
 from .search import (
-    CheckpointState,
     Equation,
     SearchConfig,
     SearchReport,
     SolutionRecord,
-    checkpoint_resume,
-    checkpoint_save,
     run_search,
     split_solution,
 )

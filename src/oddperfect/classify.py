@@ -16,6 +16,7 @@ from .arith import (
     factorize,
     first_odd_primes,
     isqrt_exact,
+    primality_is_proven,
     sigma,
     sigma_prime_power,
     vp,
@@ -224,12 +225,13 @@ class ClassifyReport:
     euler_form: tuple[int, int, int] | None
     dhp: tuple[int, int, int] | None
     chenluo: ChenLuoRecord | None
+    primality_proven: bool = True  # False: a prime factor only passed a probable-prime test
 
     def as_dict(self) -> dict:
         def triple(value, names):
             return dict(zip(names, value)) if value is not None else None
 
-        return {
+        data = {
             "n": self.n,
             "sigma": self.sigma,
             "k": self.k,
@@ -237,6 +239,9 @@ class ClassifyReport:
             "dhp": triple(self.dhp, ("m", "q", "alpha")),
             "chenluo": self.chenluo.as_dict() if self.chenluo else None,
         }
+        if not self.primality_proven:
+            data["primality"] = "probable"
+        return data
 
 
 def classify_report(n: int) -> ClassifyReport:
@@ -251,4 +256,5 @@ def classify_report(n: int) -> ClassifyReport:
         euler_form=euler_form(n) if n % 2 else None,
         dhp=dhp_decompose(n) if n >= 2 else None,
         chenluo=chenluo_check(n) if n % 2 and n >= 3 else None,
+        primality_proven=all(primality_is_proven(p) for p, _ in factorize(n)),
     )

@@ -2,7 +2,8 @@
 
 Exit codes are part of the contract:
   0  success (including searches that correctly come back empty)
-  1  usage error: bad flags or bad parameter values
+  1  usage error: bad flags or bad parameter values, including an n with a
+     composite cofactor too large to factor
   2  theorem violation: a hit in a range a theorem proves empty, a failing
      certificate, or a tripped internal consistency check
   3  I/O error: an unwritable output, or a checkpoint that is unreadable,
@@ -22,7 +23,7 @@ from .classify import (
     enumerate_multiperfect,
     omega_bound_product,
 )
-from .errors import CheckpointError, ConsistencyError
+from .errors import CheckpointError, ConsistencyError, FactorBoundError
 from .quadratic import identity_sweep, two_adic_certificate
 from .search import Equation, SearchConfig, canonical_json, digest, jsonl, run_search
 
@@ -129,7 +130,8 @@ def _cmd_classify(args) -> int:
         report = classify_report(args.n)
         params = {"command": "classify", "n": args.n}
         d = report.as_dict()
-        text = [f"{key}={d[key]}" for key in ("n", "sigma", "k", "euler_form", "dhp", "chenluo")]
+        keys = ("n", "sigma", "k", "euler_form", "dhp", "chenluo", "primality")
+        text = [f"{key}={d[key]}" for key in keys if key in d]
         _emit(args, [d], {"config_hash": digest(params)}, text)
         return EXIT_OK
     if args.limit is None:
@@ -253,7 +255,7 @@ def run(argv: list[str] | None = None) -> int:
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, FactorBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -157,7 +157,12 @@ def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[
     trace_expansion(m, 1 - q) is compared with the traces of (1 + sqrt(1-q))^m
     and (1 - sqrt(1-q))^m for primes q <= q_max and 1 <= m <= m_max; the
     ratio identity is checked for 4 <= m <= ratio_m_max and 2 <= i <= m/2.
+    A negative bound raises ValueError: it would make the sweep pass vacuously.
     """
+    if min(m_max, q_max, ratio_m_max) < 0:
+        raise ValueError(
+            f"bounds must be >= 0, got m_max={m_max} q_max={q_max} ratio_m_max={ratio_m_max}"
+        )
     trace_checked = trace_failed = 0
     for q in primes_upto(q_max):
         d = 1 - q

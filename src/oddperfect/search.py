@@ -222,30 +222,15 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     restarted; the final report is byte-identical either way.
     """
     primes = _eligible_primes(cfg)
-    shards = _shards(primes)
-
-    records: list[SolutionRecord] = []
-    start_shard = 0
+    done, records = 0, []
     if cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path):
-        state = checkpoint_resume(cfg.checkpoint_path)
-        if state.config.config_hash() != cfg.config_hash():
-            raise CheckpointError(
-                f"checkpoint {cfg.checkpoint_path} belongs to config "
-                f"{state.config.config_hash()}, not {cfg.config_hash()}"
-            )
-        while start_shard < len(shards) and shards[start_shard][-1] <= state.cursor:
-            start_shard += 1
-        records.extend(_resumed_hits(cfg, primes, state))
-
-    for shard, hits in zip(
-        shards[start_shard:], _shard_results(cfg, shards[start_shard:])
-    ):
-        for q, alpha, n, split in hits:
-            records.append(SolutionRecord(cfg.equation, q, alpha, n, split))
+        done, records = checkpoint_resume(cfg, primes)
+    shards = _shards(primes[done:])
+    for shard, hits in zip(shards, _shard_results(cfg, shards)):
+        records += [SolutionRecord(cfg.equation, *hit) for hit in hits]
+        done += len(shard)
         if cfg.checkpoint_path is not None:
-            checkpoint_save(
-                CheckpointState(cfg, shard[-1], tuple(records)), cfg.checkpoint_path
-            )
+            checkpoint_save(cfg, done, records)
     # sigma(q^alpha) is odd for even alpha: never 2n^2, for any scanned prime
     skip_per_prime = (
         sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
@@ -253,38 +238,6 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         else 0
     )
     return SearchReport(cfg, tuple(records), len(primes), skip_per_prime * len(primes))
-
-
-def _resumed_hits(
-    cfg: SearchConfig, primes: list[int], state: CheckpointState
-) -> list[SolutionRecord]:
-    """The checkpoint's hits, each as rescanning its (q, alpha) finds it again.
-
-    Raises CheckpointError unless every saved hit carries the run's equation,
-    an eligible q no later than the cursor and an alpha in range, comes in
-    strictly ascending (q, alpha) order, and equals what that rescan returns.
-    """
-    hits: list[SolutionRecord] = []
-    for r in state.partial_hits:
-        try:
-            i = bisect.bisect_left(primes, r.q)
-            ok = (
-                r.equation is cfg.equation
-                and i < len(primes)
-                and primes[i] == r.q <= state.cursor
-                and cfg.alpha_min <= r.alpha <= cfg.alpha_max
-                and (not hits or (hits[-1].q, hits[-1].alpha) < (r.q, r.alpha))
-            )
-            again = _scan_shard(((r.q,), cfg.equation.value, r.alpha, r.alpha)) if ok else []
-        except TypeError:  # a field of the wrong JSON type
-            again = []
-        if again != [(r.q, r.alpha, r.n, r.split)]:
-            raise CheckpointError(
-                f"checkpoint {cfg.checkpoint_path} holds a hit this search does "
-                f"not find: {canonical_json(r.as_dict())}"
-            )
-        hits.append(SolutionRecord(cfg.equation, *again[0]))
-    return hits
 
 
 def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
@@ -307,64 +260,77 @@ def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-@dataclass(frozen=True)
-class CheckpointState:
-    """What resuming needs: the search identity, a cursor, hits so far."""
+def checkpoint_save(cfg: SearchConfig, primes_done: int, records: list[SolutionRecord]) -> None:
+    """Atomically write cfg's checkpoint; an existing file is never corrupted.
 
-    config: SearchConfig
-    cursor: int  # last prime whose shard completed
-    partial_hits: tuple[SolutionRecord, ...]
-
-
-def checkpoint_save(state: CheckpointState, path: str) -> None:
-    """Atomically write the checkpoint; an existing file is never corrupted."""
-    payload = {
-        "config": state.config.identity(),
-        "config_hash": state.config.config_hash(),
-        "last_completed_prime": state.cursor,
-        "partial_hits": [r.as_dict() for r in state.partial_hits],
+    The record holds the search identity, how many eligible primes are done,
+    the (q, alpha) of each hit among them, and a digest of those three.
+    """
+    body = {
+        "config": cfg.identity(),
+        "primes_done": primes_done,
+        "hits": [[r.q, r.alpha] for r in records],
     }
+    path = cfg.checkpoint_path
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(payload) + "\n")
+            fh.write(canonical_json({**body, "digest": digest(body)}) + "\n")
         os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def checkpoint_resume(path: str) -> CheckpointState:
-    """Load a checkpoint; the file on disk is left untouched."""
+def checkpoint_resume(cfg: SearchConfig, primes: list[int]) -> tuple[int, list[SolutionRecord]]:
+    """How many of primes cfg's checkpoint has done, and the hits among them.
+
+    Raises CheckpointError unless the file matches its digest (which catches
+    an edited, truncated or corrupt file, not a forged one) and cfg, counts
+    no more than len(primes), and lists each hit as a pair of ints, with q
+    among the primes done and alpha in range, in strictly ascending order,
+    that rescanning finds again.  The records returned are those rescans.
+    """
+    path = cfg.checkpoint_path
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        body = {key: payload[key] for key in ("config", "primes_done", "hits")}
+        intact = payload["digest"] == digest(body)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    try:
-        ident = payload["config"]
-        cfg = SearchConfig(
-            equation=Equation(ident["equation"]),
-            q_min=ident["q_min"],
-            q_max=ident["q_max"],
-            alpha_min=ident["alpha_min"],
-            alpha_max=ident["alpha_max"],
-            residue_filter=ident["residue_filter"],
+    except (ValueError, KeyError, TypeError):  # not JSON, or not the record's keys
+        intact = False
+    if not intact:
+        raise CheckpointError(
+            f"checkpoint {path} fails its digest check: edited, corrupt, "
+            "or written by an older version"
         )
-        if payload["config_hash"] != cfg.config_hash():
-            raise CheckpointError(f"checkpoint {path} hash does not match its config")
-        hits = tuple(
-            SolutionRecord(
-                equation=Equation(r["equation"]),
-                q=r["q"],
-                alpha=r["alpha"],
-                n=r["n"],
-                split=None if r["n1"] is None else (r["n1"], r["n2"]),
+    if digest(body["config"]) != cfg.config_hash():
+        raise CheckpointError(
+            f"checkpoint {path} belongs to config {digest(body['config'])}, "
+            f"not {cfg.config_hash()}"
+        )
+    done, pairs = body["primes_done"], body["hits"]
+    if type(done) is not int or not 0 <= done <= len(primes) or type(pairs) is not list:
+        raise CheckpointError(f"checkpoint {path} does not fit this search's primes")
+    records: list[SolutionRecord] = []
+    for pair in pairs:
+        # type(x) is int: a JSON true or 1.0 is not a q or an alpha
+        ok = type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
+        if ok:
+            q, alpha = pair
+            i = bisect.bisect_left(primes, q, 0, done)
+            ok = (
+                i < done
+                and primes[i] == q
+                and cfg.alpha_min <= alpha <= cfg.alpha_max
+                and (not records or (records[-1].q, records[-1].alpha) < (q, alpha))
             )
-            for r in payload["partial_hits"]
-        )
-        return CheckpointState(cfg, payload["last_completed_prime"], hits)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {path} is malformed: {exc}") from exc
-
+        again = _scan_shard(((q,), cfg.equation.value, alpha, alpha)) if ok else []
+        if not again:
+            raise CheckpointError(
+                f"checkpoint {path} holds a hit this search does not find: "
+                f"{canonical_json(pair)}"
+            )
+        records.append(SolutionRecord(cfg.equation, *again[0]))
+    return done, records

@@ -5,6 +5,7 @@ import inspect
 import types
 
 import oddperfect
+import oddperfect.search
 
 
 def test_every_exported_name_resolves():
@@ -17,9 +18,16 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
-                 "SearchInterrupted", "gcd"):
+                 "SearchInterrupted", "gcd", "CheckpointState"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
+    assert not hasattr(oddperfect.search, "CheckpointState")
+
+
+def test_checkpoint_functions_are_search_internals():
+    for name in ("checkpoint_save", "checkpoint_resume"):
+        assert name not in oddperfect.__all__
+        assert callable(getattr(oddperfect.search, name))
 
 
 def test_run_search_takes_only_a_config():

@@ -243,3 +243,9 @@ class TestClassifyReport:
         data = json.loads(canonical_json(classify_report(672).as_dict()))
         assert set(data) == {"n", "sigma", "k", "euler_form", "dhp", "chenluo"}
         assert data["dhp"] == {"m": 21, "q": 2, "alpha": 5}
+
+    def test_probable_prime_factor_recorded(self):
+        # 2^89 - 1 and 3 * (2^89 - 1) rest on a strong-probable-prime verdict
+        for n in (2**89 - 1, 3 * (2**89 - 1)):
+            assert classify_report(n).as_dict()["primality"] == "probable"
+        assert "primality" not in classify_report(2**61 - 1).as_dict()

@@ -7,7 +7,7 @@ import pytest
 
 from oddperfect import cli
 from oddperfect.errors import ConsistencyError
-from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord
+from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord, digest
 
 
 def run_lines(capsys, argv):
@@ -85,13 +85,45 @@ class TestSearchCommand:
                 "--alpha-min", "3", "--alpha-max", "11", "--checkpoint", str(ckpt)]
         assert cli.run(argv) == 0
         payload = json.loads(ckpt.read_text())
-        payload["partial_hits"].append(
-            {"equation": "2nsq", "q": 13, "alpha": 3, "n": 99, "n1": 9, "n2": 11}
-        )
-        ckpt.write_text(json.dumps(payload))
+        payload["hits"].append([13, 3])
+        del payload["digest"]
+        ckpt.write_text(json.dumps({**payload, "digest": digest(payload)}))
         capsys.readouterr()
         assert cli.run(argv) == 3
         assert "i/o error" in capsys.readouterr().err
+
+    # the finished checkpoint of the command below in the format before the digest
+    OLD_CHECKPOINT = (
+        '{"config":{"alpha_max":4,"alpha_min":1,"equation":"nsq","q_max":300,"q_min":3,'
+        '"residue_filter":null},"config_hash":"f6b79919826e4279",'
+        '"last_completed_prime":293,"partial_hits":['
+        '{"alpha":1,"equation":"nsq","n":2,"n1":null,"n2":null,"q":3},'
+        '{"alpha":4,"equation":"nsq","n":11,"n1":null,"n2":null,"q":3},'
+        '{"alpha":3,"equation":"nsq","n":20,"n1":null,"n2":null,"q":7}]}\n'
+    )
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p.update(hits=[]),
+        lambda p: p.update(primes_done=p["primes_done"] + 1),
+        lambda p: p.update(digest=p["digest"][::-1]),
+        None,
+    ], ids=["hits_emptied", "primes_done_raised", "digest_changed", "old_format"])
+    def test_unsealed_checkpoint_edit_exits_three(self, capsys, tmp_path, edit):
+        ckpt = tmp_path / "scan.ckpt"
+        argv = ["search", "--equation", "nsq", "--q-max", "300", "--alpha-max", "4",
+                "--checkpoint", str(ckpt), "--format", "jsonl"]
+        if edit is None:
+            ckpt.write_text(self.OLD_CHECKPOINT)
+        else:
+            assert cli.run(argv) == 0
+            payload = json.loads(ckpt.read_text())
+            edit(payload)
+            ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("checkpoint", [None, "scan.ckpt"])
     def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, checkpoint):
@@ -189,6 +221,20 @@ class TestClassifyCommand:
         objects = [json.loads(line) for line in lines]
         assert {"n": 672, "k": 3} in objects[:-1]
 
+    def test_probable_prime_factor_is_marked(self, capsys):
+        # 2^89 - 1 is prime, but beyond the deterministic Miller-Rabin bound
+        argv = ["classify", "--n", str(2**89 - 1)]
+        _, lines = run_lines(capsys, argv + ["--format", "jsonl"])
+        assert json.loads(lines[0])["primality"] == "probable"
+        _, lines = run_lines(capsys, argv)
+        assert "primality=probable" in lines
+
+    def test_unfactorable_n_exits_one_with_one_line(self, capsys):
+        # 1000003 * 1000033 * 1000037: no factor <= 10^6, and above 10^12
+        assert cli.run(["classify", "--n", "1000073001431003663"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mode_misuse_exits_one(self, capsys):
         assert cli.run(["classify"]) == 1
         assert cli.run(["classify", "--n", "6", "--dhp-scan", "--limit", "5"]) == 1
@@ -215,6 +261,11 @@ class TestIdentityCommand:
         objects = [json.loads(line) for line in lines]
         assert objects[-1]["failed"] == 0
         assert {o["check"] for o in objects[:-1]} == {"trace_expansion", "ratio_identity"}
+
+    def test_negative_bounds_exit_one(self, capsys):
+        argv = ["identity", "--m-max", "-3", "--q-max", "-1", "--ratio-m-max", "-1"]
+        assert cli.run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestBoundCommand:

@@ -198,6 +198,11 @@ class TestIdentitySweep:
             "ratio_identity": (0, 0),
         }
 
+    @pytest.mark.parametrize("bounds", [(-1, 10, 8), (4, -1, 8), (4, 10, -1)])
+    def test_negative_bound_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            identity_sweep(*bounds)
+
 
 class TestTwoAdicCertificate:
     def test_empty_sum_case(self):

@@ -11,12 +11,12 @@ from oddperfect.errors import CheckpointError, ConsistencyError
 from oddperfect.quadratic import QuadInt
 from oddperfect.search import (
     SHARD_PRIMES,
-    CheckpointState,
     Equation,
     SearchConfig,
     SolutionRecord,
     checkpoint_resume,
     checkpoint_save,
+    digest,
     run_search,
     split_solution,
 )
@@ -227,59 +227,85 @@ NSQ = dict(equation=Equation.N_SQUARED, alpha_min=2, alpha_max=4)
 TWO_NSQ = dict(equation=Equation.TWO_N_SQUARED, residue_filter=1, alpha_max=1)
 
 
-def hit(equation, q, alpha, n, split=(None, None)):
-    return {"equation": equation, "q": q, "alpha": alpha, "n": n,
-            "n1": split[0], "n2": split[1]}
+def rewrite(path, edit):
+    """Apply edit(payload, hits) to the checkpoint at path and re-seal its digest."""
+    payload = json.loads(path.read_text())
+    edit(payload, payload["hits"])
+    body = {key: payload[key] for key in ("config", "primes_done", "hits")}
+    path.write_text(json.dumps({**body, "digest": digest(body)}))
 
 
 class TestCheckpointing:
     @pytest.mark.parametrize("search, edit", [
-        (NSQ, lambda p, hits: hits[0].update(n=hits[0]["n"] + 1)),
-        (TWO_NSQ, lambda p, hits: hits[0].update(equation="nsq")),
-        (TWO_NSQ, lambda p, hits: hits.append(dict(hits[-1]))),
+        (NSQ, lambda p, hits: hits[0].__setitem__(1, 3)),
+        (TWO_NSQ, lambda p, hits: p["config"].update(equation="nsq")),
+        (TWO_NSQ, lambda p, hits: hits.append(list(hits[-1]))),
         (TWO_NSQ, lambda p, hits: hits.reverse()),
-        (NSQ, lambda p, hits: hits.insert(0, hit("nsq", 3, 1, 2))),
-        (TWO_NSQ, lambda p, hits: hits.insert(0, hit("2nsq", 7, 1, 2, (1, 2)))),
-        (TWO_NSQ, lambda p, hits: hits.append(hit("2nsq", 449, 1, 15, (1, 15)))),
-        (NSQ, lambda p, hits: hits[0].update(q=str(hits[0]["q"]))),
-        (TWO_NSQ, lambda p, hits: p.update(last_completed_prime=17)),
-    ], ids=["wrong_n", "wrong_equation", "duplicate", "descending", "alpha_out_of_range",
-            "q_not_eligible", "q_above_q_max", "q_not_int", "q_beyond_cursor"])
+        (NSQ, lambda p, hits: hits.insert(0, [3, 1])),
+        (TWO_NSQ, lambda p, hits: hits.insert(0, [7, 1])),
+        (TWO_NSQ, lambda p, hits: hits.append([449, 1])),
+        (NSQ, lambda p, hits: hits[0].__setitem__(0, str(hits[0][0]))),
+        (TWO_NSQ, lambda p, hits: hits[0].__setitem__(1, True)),
+        (TWO_NSQ, lambda p, hits: hits[0].append(3)),
+        (TWO_NSQ, lambda p, hits: p.update(hits=None)),
+        (TWO_NSQ, lambda p, hits: p.update(primes_done=1)),
+        (TWO_NSQ, lambda p, hits: p.update(primes_done=p["primes_done"] + 1)),
+        (TWO_NSQ, lambda p, hits: p.update(primes_done=float(p["primes_done"]))),
+    ], ids=["not_a_hit", "wrong_equation", "duplicate", "descending", "alpha_out_of_range",
+            "q_not_eligible", "q_above_q_max", "q_not_int", "alpha_not_int", "not_a_pair",
+            "hits_not_a_list", "q_beyond_cursor", "cursor_beyond_primes", "cursor_not_int"])
     def test_resumed_hits_are_verified(self, tmp_path, search, edit):
+        # each edit re-seals the digest, so the checks behind it must refuse
         path = tmp_path / "scan.ckpt"
         cfg = SearchConfig(q_max=300, checkpoint_path=str(path), **search)
         assert len(run_search(cfg).records) in (2, 3)
-        payload = json.loads(path.read_text())
-        edit(payload, payload["partial_hits"])
-        path.write_text(json.dumps(payload))
+        rewrite(path, edit)
         with pytest.raises(CheckpointError):
             run_search(cfg)
 
-    def test_resumed_hits_are_reported_as_rescanned(self, tmp_path):
+    def test_every_unsealed_byte_edit_is_refused(self, tmp_path):
         path = tmp_path / "scan.ckpt"
-        cfg = SearchConfig(q_max=300, checkpoint_path=str(path), **TWO_NSQ)
+        cfg = nsq(q_max=300, alpha_max=4, checkpoint_path=str(path))
         clean = run_search(cfg).to_jsonl()
-        payload = json.loads(path.read_text())
-        payload["partial_hits"][0]["alpha"] = True  # equal to 1, but not an int in JSON
-        path.write_text(json.dumps(payload))
+        data = path.read_bytes()
+        assert data.endswith(b"\n")
+        for i in range(len(data) - 1):  # the final newline is not part of the JSON
+            path.write_bytes(data[:i] + bytes([data[i] ^ 1]) + data[i + 1 :])
+            with pytest.raises(CheckpointError):
+                run_search(cfg)
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(CheckpointError):
+            run_search(cfg)
+        path.write_bytes(data)
         assert run_search(cfg).to_jsonl() == clean
 
     def test_fresh_interrupt_resume_cycle(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "scan.ckpt")
-        cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path)
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=str(path))
         with monkeypatch.context() as m:
             interrupt_at_shard(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
-        state = checkpoint_resume(path)
         # the checkpoint written after shard 0 survives the interrupt
-        eligible = [p for p in primes_upto(3000) if p >= 3]
-        assert state.cursor == eligible[SHARD_PRIMES - 1]
+        assert json.loads(path.read_text())["primes_done"] == SHARD_PRIMES
         resumed = run_search(cfg)
         clean = run_search(two_nsq(q_max=3000, alpha_max=9))
         assert resumed.to_jsonl() == clean.to_jsonl()
         # alphas 2, 4, 6, 8 for every prime, those of the resumed shard too
+        eligible = [p for p in primes_upto(3000) if p >= 3]
         assert resumed.skipped_even_alpha == 4 * resumed.scanned_primes == 4 * len(eligible)
+
+    def test_resume_does_not_depend_on_shard_size(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "scan.ckpt")
+        cfg = two_nsq(q_max=3000, alpha_max=1, checkpoint_path=path)
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, 1)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(oddperfect.search, "SHARD_PRIMES", 96)
+            resumed = run_search(cfg).to_jsonl()
+        assert resumed == run_search(two_nsq(q_max=3000, alpha_max=1)).to_jsonl()
 
     def test_completed_run_resume_is_stable(self, tmp_path):
         path = str(tmp_path / "scan.ckpt")
@@ -301,24 +327,23 @@ class TestCheckpointing:
         path = tmp_path / "bad.ckpt"
         path.write_text("{not json")
         with pytest.raises(CheckpointError):
-            checkpoint_resume(str(path))
+            run_search(two_nsq(q_max=100, checkpoint_path=str(path)))
         assert path.read_text() == "{not json"
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "empty.ckpt"
         path.write_text("{}")
         with pytest.raises(CheckpointError):
-            checkpoint_resume(str(path))
+            run_search(two_nsq(q_max=100, checkpoint_path=str(path)))
 
     def test_save_resume_round_trip(self, tmp_path):
-        path = str(tmp_path / "state.ckpt")
-        cfg = two_nsq(q_max=100, alpha_max=9)
+        path = tmp_path / "state.ckpt"
+        cfg = two_nsq(q_max=100, alpha_max=9, checkpoint_path=str(path))
+        primes = [p for p in primes_upto(100) if p >= 3]
         record = SolutionRecord(Equation.TWO_N_SQUARED, 7, 1, 2, (1, 2))
-        checkpoint_save(CheckpointState(cfg, 97, (record,)), path)
-        state = checkpoint_resume(path)
-        assert state.cursor == 97
-        assert state.partial_hits == (record,)
-        assert state.config.config_hash() == cfg.config_hash()
+        checkpoint_save(cfg, 10, [record])
+        assert json.loads(path.read_text())["hits"] == [[7, 1]]
+        assert checkpoint_resume(cfg, primes) == (10, [record])
 
     def test_unwritable_checkpoint_path_raises(self, tmp_path):
         cfg = two_nsq(q_max=100, alpha_max=3,
