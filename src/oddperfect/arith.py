@@ -43,8 +43,19 @@ PROBABLE_PRIME_WITNESSES = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-#: factorize trial-divides by every prime up to this bound.
-FACTOR_BOUND = 10**6
+#: factorize trial-divides by the primes below this bound; a cofactor with no
+#: such factor that is below the bound squared is therefore prime.
+_TRIAL_BOUND = 1 << 16
+#: Primes per trial block: one gcd with their product tests them all at once.
+_TRIAL_BLOCK = 32
+#: Pollard-Brent rho gives up on a polynomial x^2 + k once its cycle length
+#: would pass this cap (at most about 4 * _RHO_STEPS squarings per k).
+_RHO_STEPS = 1 << 18
+#: The constants k tried, in order; factorize raises FactorBoundError when
+#: rho finds no factor with any of them.
+_RHO_CONSTANTS = (1, 3, 5)
+#: Squarings whose differences are multiplied together between two gcds.
+_RHO_BATCH = 64
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
@@ -154,47 +165,118 @@ class Factorization:
 
 
 @functools.cache
-def _trial_primes() -> tuple[int, ...]:
-    # sieved on the first factorize call, not at import
-    return tuple(primes_upto(FACTOR_BOUND))
+def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(least prime squared, product, primes) per block of the trial primes.
+
+    Built on the first factorize call, not at import.
+    """
+    primes = primes_upto(_TRIAL_BOUND - 1)
+    blocks = (
+        tuple(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK)
+    )
+    return tuple((block[0] ** 2, math.prod(block), block) for block in blocks)
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by trial division up to ``FACTOR_BOUND``.
+    """Factor n >= 1: block trial division, then Pollard-Brent rho.
 
-    The surviving cofactor is accepted if (probable) prime or provably prime
-    because it is below FACTOR_BOUND**2; a composite cofactor beyond that
-    raises FactorBoundError rather than producing a wrong answer.
+    Primes below ``_TRIAL_BOUND`` are tried a block at a time with one gcd
+    per block, stopping early once the cofactor is prime.  A cofactor left
+    with no factor below the bound is prime when it is below the bound
+    squared or passes ``is_prime``; otherwise rho splits it.  Only when rho
+    runs past its step cap with every constant does FactorBoundError replace
+    a wrong answer.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     c = n
-    if c >= FACTOR_BOUND and is_prime(c):
-        return Factorization(((c, 1),))
-    for p in _trial_primes():
-        if p * p > c:
-            break
-        if c % p == 0:
-            e = 0
-            while c % p == 0:
-                c //= p
-                e += 1
-            factors.append((p, e))
-            # big prime cofactors are common; skip the rest of the scan
-            if c >= FACTOR_BOUND and is_prime(c):
-                factors.append((c, 1))
-                c = 1
+    composite = False  # is_prime has rejected this c
+    for least_square, product, block in _trial_blocks():
+        if c < least_square:
+            break  # c is 1 or a prime: no factor up to its square root
+        # big prime cofactors are common; skip the remaining blocks
+        if not composite and c >= _TRIAL_BOUND:
+            if is_prime(c):
                 break
+            composite = True
+        g = math.gcd(c, product)
+        if g == 1:
+            continue
+        for p in block:
+            if g % p == 0:
+                c //= p
+                e = 1
+                while c % p == 0:
+                    c //= p
+                    e += 1
+                factors.append((p, e))
+                g //= p
+                if g == 1:
+                    break
+        composite = False
+    else:
+        # no prime below the bound divides c
+        if c >= _TRIAL_BOUND**2 and (composite or not is_prime(c)):
+            factors += _rho_factors(c, n)
+            c = 1
     if c > 1:
-        if c <= FACTOR_BOUND * FACTOR_BOUND or is_prime(c):
-            # no factor <= FACTOR_BOUND and c <= FACTOR_BOUND^2 forces primality
-            factors.append((c, 1))
+        factors.append((c, 1))
+    return Factorization(tuple(factors))
+
+
+def _rho_factors(c: int, n: int) -> list[tuple[int, int]]:
+    """The prime powers of a composite c with no factor below the trial bound."""
+    primes: dict[int, int] = {}
+    pending = [c]
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            primes[m] = primes.get(m, 0) + 1
+            continue
+        for k in _RHO_CONSTANTS:
+            d = _brent(m, k)
+            if d is not None:
+                pending += (d, m // d)
+                break
         else:
             raise FactorBoundError(
-                f"cofactor {c} of {n} is composite with no factor <= {FACTOR_BOUND}"
+                f"cofactor {m} of {n} is composite and Pollard-Brent rho found no "
+                f"factor within its step cap {_RHO_STEPS} for x^2 + k, k in {_RHO_CONSTANTS}"
             )
-    return Factorization(tuple(factors))
+    return sorted(primes.items())
+
+
+def _brent(m: int, k: int) -> int | None:
+    """A proper factor of composite m from Brent's cycle search on x^2 + k.
+
+    R. P. Brent, "An improved Monte Carlo factorization algorithm", BIT 20
+    (1980).  None when the cycle length passes ``_RHO_STEPS`` or the walk
+    closes on m itself.
+    """
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        if r > _RHO_STEPS:
+            return None
+        x = y
+        for _ in range(r):
+            y = (y * y + k) % m
+        done = 0
+        while done < r and g == 1:
+            ys = y
+            for _ in range(min(_RHO_BATCH, r - done)):
+                y = (y * y + k) % m
+                q = q * (x - y) % m
+            g = math.gcd(q, m)
+            done += _RHO_BATCH
+        r *= 2
+    if g == m:
+        # the batch overshot; walk it again one gcd at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + k) % m
+            g = math.gcd(x - ys, m)
+    return g if g != m else None
 
 
 def sigma(f: Factorization) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (
+    Factorization,
     factorize,
     first_odd_primes,
     isqrt_exact,
@@ -34,7 +35,11 @@ def abundancy(n: int) -> tuple[int, int | None]:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s = sigma(factorize(n))
+    return _abundancy(n, factorize(n))
+
+
+def _abundancy(n: int, f: Factorization) -> tuple[int, int | None]:
+    s = sigma(f)
     k, rem = divmod(s, n)
     return s, (k if rem == 0 else None)
 
@@ -111,10 +116,14 @@ def dhp_decompose(n: int) -> tuple[int, int, int] | None:
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    for q, alpha in factorize(n):
-        m = n // q**alpha
-        if m > 1 and sigma(factorize(m)) == q**alpha:
-            return m, q, alpha
+    return _dhp_decompose(n, factorize(n))
+
+
+def _dhp_decompose(n: int, f: Factorization) -> tuple[int, int, int] | None:
+    for i, (q, alpha) in enumerate(f):
+        # m's factorization is n's without q^alpha (m = 1 fails: sigma(1) = 1)
+        if sigma(Factorization(f.factors[:i] + f.factors[i + 1 :])) == q**alpha:
+            return n // q**alpha, q, alpha
     return None
 
 
@@ -140,7 +149,11 @@ def euler_form(n: int) -> tuple[int, int, int] | None:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 1, got {n}")
-    odd_exp = [(p, e) for p, e in factorize(n) if e % 2]
+    return _euler_form(n, factorize(n))
+
+
+def _euler_form(n: int, f: Factorization) -> tuple[int, int, int] | None:
+    odd_exp = [(p, e) for p, e in f if e % 2]
     if len(odd_exp) != 1:
         return None
     q, alpha = odd_exp[0]
@@ -186,7 +199,10 @@ def chenluo_check(n: int) -> ChenLuoRecord:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    f = factorize(n)
+    return _chenluo_check(n, factorize(n))
+
+
+def _chenluo_check(n: int, f: Factorization) -> ChenLuoRecord:
     terms = tuple(
         (p, e, vp(2, p + 1) - 1, vp(2, e + 1) - 1) for p, e in f if e % 2
     )
@@ -248,13 +264,14 @@ def classify_report(n: int) -> ClassifyReport:
     """Run every applicable classifier on n and collect the results."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    s, k = abundancy(n)
+    f = factorize(n)
+    s, k = _abundancy(n, f)
     return ClassifyReport(
         n=n,
         sigma=s,
         k=k,
-        euler_form=euler_form(n) if n % 2 else None,
-        dhp=dhp_decompose(n) if n >= 2 else None,
-        chenluo=chenluo_check(n) if n % 2 and n >= 3 else None,
-        primality_proven=all(primality_is_proven(p) for p, _ in factorize(n)),
+        euler_form=_euler_form(n, f) if n % 2 else None,
+        dhp=_dhp_decompose(n, f) if n >= 2 else None,
+        chenluo=_chenluo_check(n, f) if n % 2 and n >= 3 else None,
+        primality_proven=all(primality_is_proven(p) for p, _ in f),
     )

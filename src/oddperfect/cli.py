@@ -3,7 +3,7 @@
 Exit codes are part of the contract:
   0  success (including searches that correctly come back empty)
   1  usage error: bad flags or bad parameter values, including an n with a
-     composite cofactor too large to factor
+     composite cofactor that rho cannot split within its step cap
   2  theorem violation: a hit in a range a theorem proves empty, a failing
      certificate, or a tripped internal consistency check
   3  I/O error: an unwritable output, or a checkpoint that is unreadable,

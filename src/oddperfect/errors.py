@@ -2,9 +2,9 @@
 
 
 class FactorBoundError(RuntimeError):
-    """A cofactor survived trial division by every prime up to
-    ``arith.FACTOR_BOUND``, is not probable-prime, and exceeds that bound
-    squared.  Raised instead of returning a wrong factorization."""
+    """A composite cofactor that Pollard-Brent rho could not split within
+    its step cap (``arith._RHO_STEPS``) for any of its polynomial constants.
+    Raised instead of returning a wrong factorization."""
 
 
 class ConsistencyError(RuntimeError):

@@ -1,7 +1,7 @@
 """Brute-force oracles, deliberately independent of the package internals.
 
 Everything here recomputes results the slow, obvious way: divisor
-enumeration for sigma, trial division for primality, bisection for
+enumeration for sigma, trial division for primality and factors, bisection for
 squareness.  Tests freeze expected values through these functions so the
 fast paths in the package are checked against a second opinion, never
 against themselves.
@@ -18,6 +18,20 @@ def is_prime_trial(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def factor_trial(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by dividing out every d = 2, 3, 4, ..."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
 
 
 def sigma_divisor_sum(n: int) -> int:

@@ -5,6 +5,7 @@ import inspect
 import types
 
 import oddperfect
+import oddperfect.arith
 import oddperfect.search
 
 
@@ -18,10 +19,11 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
-                 "SearchInterrupted", "gcd", "CheckpointState"):
+                 "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     assert not hasattr(oddperfect.search, "CheckpointState")
+    assert not hasattr(oddperfect.arith, "FACTOR_BOUND")
 
 
 def test_checkpoint_functions_are_search_internals():

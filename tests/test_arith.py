@@ -1,13 +1,19 @@
 """Tests for the exact arithmetic primitives."""
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oddperfect import arith
 from oddperfect.arith import (
     DETERMINISTIC_PRIME_BOUND,
     Factorization,
@@ -24,6 +30,7 @@ from oddperfect.arith import (
 from oddperfect.errors import FactorBoundError
 
 from _oracles import (
+    factor_trial,
     is_prime_trial,
     pascal_binomial,
     sigma_divisor_sum,
@@ -101,14 +108,103 @@ class TestFactorize:
     def test_semiprime_below_bound_squared(self):
         assert factorize(999979 * 999983).factors == ((999979, 1), (999983, 1))
 
-    def test_composite_cofactor_beyond_bound_raises(self):
+    def test_composite_cofactor_beyond_trial_bound_splits(self):
         n = 1_000_003 * 1_000_033 * 1_000_037
+        assert factorize(n).factors == ((1_000_003, 1), (1_000_033, 1), (1_000_037, 1))
+
+    def test_composite_cofactor_beyond_bound_raises(self, monkeypatch):
+        # only rho's step cap is left to stop factorize
+        monkeypatch.setattr(arith, "_RHO_STEPS", 1)
         with pytest.raises(FactorBoundError):
-            factorize(n)
+            factorize(1_000_003 * 1_000_033 * 1_000_037)
+
+    def test_step_cap_bounds_the_cycle_length(self, monkeypatch):
+        m = 1_000_003 * 1_000_033 * 1_000_037  # x^2 + 1 splits it at cycle length 256
+        monkeypatch.setattr(arith, "_RHO_STEPS", 256)
+        assert arith._brent(m, 1) == 1_000_033
+        monkeypatch.setattr(arith, "_RHO_STEPS", 128)
+        assert arith._brent(m, 1) is None
+
+    def test_overshooting_batch_is_walked_again(self):
+        # the batch that meets 198391 also meets m's other prime; one gcd per
+        # step over that batch separates them
+        assert arith._brent(198391 * 204233, 1) in (198391, 204233)
+
+    def test_next_constant_after_rho_closes_on_m(self):
+        # the x^2 + 1 walk finds 65537 and 65537^2 at the same step; x^2 + 3 does not
+        assert arith._brent(65537**2, 1) is None
+        assert factorize(65537**2).factors == ((65537, 2),)
 
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+
+def _prime_from(n: int) -> int:
+    return next(filter(is_prime_trial, itertools.count(n)))
+
+
+class TestFactorizeOracle:
+    """factorize against plain trial division, on each of its paths."""
+
+    def test_semiprimes_beyond_trial_bound(self):
+        rng = random.Random(41)
+        for _ in range(8):
+            p, q = (_prime_from(rng.randrange(arith._TRIAL_BOUND, 10**6)) for _ in range(2))
+            assert dict(factorize(p * q)) == factor_trial(p * q), (p, q)
+
+    def test_prime_powers_just_above_trial_bound(self):
+        for p in (65537, 65539, 65543):  # the first primes above 2^16
+            for e in (2, 3):
+                assert dict(factorize(p**e)) == factor_trial(p**e) == {p: e}
+
+    def test_carmichael_numbers(self):
+        for n in (561, 41041, 825265, 321197185):
+            assert dict(factorize(n)) == factor_trial(n), n
+
+    def test_one_and_powers_of_two(self):
+        assert dict(factorize(1)) == factor_trial(1) == {}
+        for e in range(1, 80):
+            assert dict(factorize(2**e)) == factor_trial(2**e) == {2: e}
+
+    def test_random_odd_numbers(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randrange(0, 5 * 10**11) * 2 + 1
+            assert dict(factorize(n)) == factor_trial(n), n
+
+
+class TestFactorizeSympy:
+    """An optional second opinion on inputs too large for trial division."""
+
+    def test_products_of_two_31_bit_primes(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(47)
+        for _ in range(6):
+            p, q = (sympy.nextprime(rng.randrange(1 << 30, 1 << 31)) for _ in range(2))
+            assert dict(factorize(p * q)) == sympy.factorint(p * q), (p, q)
+
+    def test_random_below_10_18(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(53)
+        for _ in range(150):
+            n = rng.randrange(1, 10**18)
+            assert dict(factorize(n)) == sympy.factorint(n), n
+
+
+class TestFactorizeIsLazy:
+    def test_import_builds_no_trial_table(self):
+        code = (
+            "import oddperfect, oddperfect.arith as a\n"
+            "print(a._trial_blocks.cache_info().currsize)\n"
+            "oddperfect.factorize(91)\n"
+            "print(a._trial_blocks.cache_info().currsize)\n"
+        )
+        src = str(Path(arith.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == ["0", "1"]
 
 
 class TestFactorizationType:

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from oddperfect import classify
+from oddperfect.arith import factorize
 from oddperfect.classify import (
     abundancy,
     chenluo_check,
@@ -243,6 +244,19 @@ class TestClassifyReport:
         data = json.loads(canonical_json(classify_report(672).as_dict()))
         assert set(data) == {"n", "sigma", "k", "euler_form", "dhp", "chenluo"}
         assert data["dhp"] == {"m": 21, "q": 2, "alpha": 5}
+
+    def test_factorizes_n_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(classify, "factorize", counted)
+        for n in (3 * 999999999989, 672, 45, 1):
+            calls.clear()
+            classify_report(n)
+            assert calls == [n]
 
     def test_probable_prime_factor_recorded(self):
         # 2^89 - 1 and 3 * (2^89 - 1) rest on a strong-probable-prime verdict

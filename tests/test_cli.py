@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from oddperfect import cli
+from oddperfect import arith, cli
 from oddperfect.errors import ConsistencyError
 from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord, digest
 
@@ -229,11 +229,19 @@ class TestClassifyCommand:
         _, lines = run_lines(capsys, argv)
         assert "primality=probable" in lines
 
-    def test_unfactorable_n_exits_one_with_one_line(self, capsys):
-        # 1000003 * 1000033 * 1000037: no factor <= 10^6, and above 10^12
+    def test_n_beyond_trial_bound_is_classified(self, capsys):
+        # 1000003 * 1000033 * 1000037: no factor below the trial bound
+        code, lines = run_lines(capsys, ["classify", "--n", "1000073001431003663"])
+        assert code == 0
+        assert any("'p': 1000037" in line for line in lines)
+
+    def test_unfactorable_n_exits_one_with_one_line(self, capsys, monkeypatch):
+        # with rho's step cap at 1 the same n can no longer be split
+        monkeypatch.setattr(arith, "_RHO_STEPS", 1)
         assert cli.run(["classify", "--n", "1000073001431003663"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_mode_misuse_exits_one(self, capsys):
         assert cli.run(["classify"]) == 1
