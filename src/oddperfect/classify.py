@@ -14,13 +14,13 @@ import numpy as np
 
 from .arith import (
     Factorization,
+    _vp_int,
     factorize,
     first_odd_primes,
     isqrt_exact,
     primality_is_proven,
     sigma,
     sigma_prime_power,
-    vp,
 )
 from .errors import ConsistencyError
 
@@ -204,11 +204,11 @@ def chenluo_check(n: int) -> ChenLuoRecord:
 
 def _chenluo_check(n: int, f: Factorization) -> ChenLuoRecord:
     terms = tuple(
-        (p, e, vp(2, p + 1) - 1, vp(2, e + 1) - 1) for p, e in f if e % 2
+        (p, e, _vp_int(2, p + 1) - 1, _vp_int(2, e + 1) - 1) for p, e in f if e % 2
     )
     s = len(terms)
     budget = s + sum(a for _, _, a, _ in terms) + sum(b for _, _, _, b in terms)
-    direct = vp(2, sigma(f))
+    direct = _vp_int(2, sigma(f))
     if budget != direct:
         raise ConsistencyError(
             f"valuation ledger {budget} != direct v2(sigma({n})) = {direct}"

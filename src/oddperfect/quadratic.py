@@ -9,10 +9,10 @@ that delivers the final contradiction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
-from .arith import binomial, is_prime, primality_is_proven, primes_upto, vp
+from .arith import _vp_int, binomial, is_prime, primality_is_proven, primes_upto
+from .errors import ConsistencyError
 
 UnitSign = Literal[1, -1]
 
@@ -142,13 +142,12 @@ def ratio_identity_check(m: int, i: int) -> bool:
     """Verify C(m,2i)/C(m,2) == C(m-2,2i-2)/(i*(2i-1)) exactly.
 
     This is the cancellation that pulls the factor C(m,2)*(1-q) out of every
-    term of the trace expansion.
+    term of the trace expansion.  Both denominators are positive, so the
+    check cross-multiplies in integers.
     """
     if m < 4 or i < 2 or 2 * i > m:
         raise ValueError(f"need m >= 4, i >= 2, 2i <= m; got m={m}, i={i}")
-    lhs = Fraction(binomial(m, 2 * i), binomial(m, 2))
-    rhs = Fraction(binomial(m - 2, 2 * i - 2), i * (2 * i - 1))
-    return lhs == rhs
+    return binomial(m, 2 * i) * i * (2 * i - 1) == binomial(m - 2, 2 * i - 2) * binomial(m, 2)
 
 
 def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[int, int]]:
@@ -189,9 +188,10 @@ def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[
 class CertificateReport:
     """Outcome of the 2-adic unit certificate for one (q, alpha) pair.
 
-    summands holds (i, v2-of-summand) for each term past the leading 1; the
-    certificate passes when every summand valuation is >= 1, v2(S) = 0, and
-    S != 0.
+    summands holds (i, v2-of-summand) for each term of S past the leading 1,
+    each from the closed form in two_adic_certificate.  Every valuation is
+    >= 1, so v2_total (the valuation of S) is 0 and passed is True: a report
+    that failed would have raised ConsistencyError instead.
     """
 
     q: int
@@ -215,14 +215,16 @@ class CertificateReport:
 
 
 def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
-    """Certify that S = 1 + sum_{i>=2} [C((a-3)/2, 2i-2)/(2i-1)] * (1-q)^(i-1)/i
-    is a nonzero 2-adic unit.
+    """Certify that S = 1 + sum_{i>=2} [C(m, 2i-2)/(2i-1)] * (1-q)^(i-1)/i,
+    with m = (alpha-3)/2, is a nonzero 2-adic unit.
 
     S is the trace relation divided by its i=1 term; a solution of
     2n^2 = sigma(q^alpha) would force S = 0, while v2(S) = 0 shows S is a
     2-adic unit, the contradiction that closes the proof.  The sum runs to
-    floor((alpha+1)/4); with q = 1 mod 4 each summand has v2 >= 1, so the
-    leading 1 fixes v2(S) = 0 exactly.
+    floor((alpha+1)/4).  No summand is evaluated: with t = v2(q-1), Kummer's
+    theorem gives summand i the valuation
+    s2(2i-2) + s2(m-2i+2) - s2(m) + (i-1)*t - v2(i), s2 the binary digit sum
+    (2i-1 is odd), so q enters only through t.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -230,21 +232,18 @@ def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
         raise ValueError(f"q must be 1 mod 4, got {q} = {q % 4} mod 4")
     if alpha % 2 == 0 or alpha < 3:
         raise ValueError(f"alpha must be odd and >= 3, got {alpha}")
-    s = Fraction(1)
-    summands: list[tuple[int, int]] = []
-    for i in range(2, (alpha + 1) // 4 + 1):
-        term = (
-            Fraction(binomial((alpha - 3) // 2, 2 * i - 2), 2 * i - 1)
-            * Fraction((1 - q) ** (i - 1), i)
-        )
-        summands.append((i, vp(2, term)))
-        s += term
-    v2_total = vp(2, s) if s else 0
-    passed = s != 0 and v2_total == 0 and all(v2 >= 1 for _, v2 in summands)
-    return CertificateReport(
-        q=q,
-        alpha=alpha,
-        summands=tuple(summands),
-        v2_total=v2_total,
-        passed=passed,
-    )
+    t = _vp_int(2, q - 1)
+    m = (alpha - 3) // 2
+    s2m = m.bit_count()
+    summands = [
+        (i, (2 * i - 2).bit_count() + (m - 2 * i + 2).bit_count() - s2m
+            + (i - 1) * t - _vp_int(2, i))
+        for i in range(2, (alpha + 1) // 4 + 1)
+    ]
+    # The carry count is >= 0 and t >= 2, so summand i has valuation at least
+    # 2(i-1) - log2(i) >= 1 for i >= 2.  Every summand is then divisible by 2
+    # while the leading 1 is not: v2(S) = 0 by the ultrametric inequality,
+    # hence S != 0.  A summand below 1 would contradict t >= 2.
+    if any(v2 < 1 for _, v2 in summands):
+        raise ConsistencyError(f"a summand valuation is below 1 at q={q} alpha={alpha}")
+    return CertificateReport(q, alpha, tuple(summands), v2_total=0, passed=True)

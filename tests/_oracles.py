@@ -8,6 +8,9 @@ against themselves.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 def is_prime_trial(n: int) -> bool:
     if n < 2:
@@ -78,12 +81,37 @@ def square_root_scan(n: int) -> int | None:
 
 
 def v2_int(n: int) -> int:
-    n = abs(n)
-    v = 0
-    while n % 2 == 0:
-        n //= 2
-        v += 1
-    return v
+    """The trailing zeros of n != 0 in its binary digit string.
+
+    Reading them off the string keeps this linear in the digits, where
+    halving n once per zero would be quadratic for the 2-adic valuations of
+    the certificate sums.
+    """
+    if n == 0:
+        raise ValueError("v2 of 0 is +infinity")
+    digits = bin(n)
+    return len(digits) - len(digits.rstrip("0"))
+
+
+def certificate_rational(q: int, alpha: int) -> tuple[tuple[tuple[int, int], ...], int, bool]:
+    """S = 1 + sum_{i=2}^{(alpha+1)//4} t_i with every term an exact Fraction,
+
+    t_i = C((alpha-3)/2, 2i-2)/(2i-1) * (1-q)^(i-1)/i.  Returns
+    ((i, v2(t_i)) for each i, v2(S), S != 0); v2(S) is 0 when S is 0.
+    """
+
+    def v2(x: Fraction) -> int:
+        return v2_int(x.numerator) - v2_int(x.denominator)
+
+    s = Fraction(1)
+    summands = []
+    for i in range(2, (alpha + 1) // 4 + 1):
+        term = Fraction(math.comb((alpha - 3) // 2, 2 * i - 2), 2 * i - 1) * Fraction(
+            (1 - q) ** (i - 1), i
+        )
+        summands.append((i, v2(term)))
+        s += term
+    return tuple(summands), v2(s) if s else 0, s != 0
 
 
 def pascal_binomial(n: int, k: int) -> int:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oddperfect import classify
+from oddperfect import arith, classify
 from oddperfect.arith import factorize
 from oddperfect.classify import (
     abundancy,
@@ -194,6 +194,24 @@ class TestChenLuo:
     def test_never_raises_on_small_sweep(self):
         for n in range(3, 30_001, 2):
             chenluo_check(n)  # ConsistencyError here would fail the test
+
+    def test_no_primality_tests_beyond_factorize(self, monkeypatch):
+        # the ledger's 2-adic valuations must not re-prove their base 2
+        n = 3**5 * 7 * 11**3
+        is_prime = arith.is_prime
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return is_prime(m)
+
+        factorize(n)  # build the trial-division table outside the count
+        monkeypatch.setattr(arith, "is_prime", counted)
+        factorize(n)
+        expected = len(calls)
+        calls.clear()
+        chenluo_check(n)
+        assert len(calls) == expected
 
     def test_json_round_trip(self):
         data = chenluo_check(15).as_dict()

@@ -196,6 +196,16 @@ class TestCertifyCommand:
         assert record["passed"] is True
         assert summary["passed"] is True and "config_hash" in summary
 
+    def test_large_alpha(self, capsys):
+        code, lines = run_lines(
+            capsys, ["certify", "--q", "5", "--alpha", "100001", "--format", "jsonl"]
+        )
+        assert code == 0
+        record = json.loads(lines[0])
+        assert len(record["summands"]) == 24_999  # i = 2 .. (alpha + 1) // 4
+        assert min(s["v2"] for s in record["summands"]) == 1
+        assert record["v2_total"] == 0 and record["passed"] is True
+
     def test_bad_parameters_exit_one(self, capsys):
         assert cli.run(["certify", "--q", "15", "--alpha", "3"]) == 1
         assert cli.run(["certify", "--q", "13", "--alpha", "4"]) == 1

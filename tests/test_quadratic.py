@@ -8,6 +8,7 @@ import pytest
 
 import oddperfect.quadratic
 from oddperfect.arith import primes_upto
+from oddperfect.errors import ConsistencyError
 from oddperfect.quadratic import (
     QuadInt,
     divides,
@@ -18,6 +19,7 @@ from oddperfect.quadratic import (
     unit_group,
 )
 from oddperfect.search import canonical_json
+from _oracles import certificate_rational, is_prime_trial
 
 
 class TestQuadIntRing:
@@ -247,9 +249,45 @@ class TestTwoAdicCertificate:
             for alpha in range(3, 52, 2):
                 assert two_adic_certificate(q, alpha).passed, (q, alpha)
 
+    def test_low_summand_raises(self, monkeypatch):
+        # with v2 forced to 0, q=5 alpha=7 has the single summand C(2,2) of v2 0
+        monkeypatch.setattr(oddperfect.quadratic, "_vp_int", lambda p, n: 0)
+        with pytest.raises(ConsistencyError):
+            two_adic_certificate(5, 7)
+
     def test_probable_prime_policy_recorded(self):
         # beyond the deterministic primality bound the report must say the
         # verdict is only probable; below it, no such field appears
         q = 10**25 + 13  # strong probable prime, 1 mod 4
         assert two_adic_certificate(q, 7).as_dict()["primality"] == "probable"
         assert "primality" not in two_adic_certificate(13, 7).as_dict()
+
+
+def _smallest_prime_with_v2(t):
+    """The least prime q with v2(q - 1) = t, i.e. q = 2^t (mod 2^(t+1))."""
+    q = (1 << t) + 1
+    while not is_prime_trial(q):
+        q += 1 << (t + 1)
+    return q
+
+
+_ORACLE_GRIDS = {
+    "criterion-06": [
+        (q, alpha) for q in primes_upto(10_000) if q % 4 == 1 for alpha in range(3, 102, 2)
+    ],
+    "every-t": [
+        (_smallest_prime_with_v2(t), alpha) for t in range(2, 17) for alpha in range(3, 102, 2)
+    ],
+    "large-alpha": [(q, alpha) for q in (5, 65537) for alpha in (1001, 4001)],
+}
+
+
+@pytest.mark.parametrize("grid", list(_ORACLE_GRIDS))
+def test_certificate_matches_exact_sum(grid):
+    # the closed-form ledger against the exact Fraction evaluation of S
+    for q, alpha in _ORACLE_GRIDS[grid]:
+        report = two_adic_certificate(q, alpha)
+        summands, v2_total, nonzero = certificate_rational(q, alpha)
+        assert report.summands == summands, (q, alpha)
+        assert v2_total == 0 and nonzero, (q, alpha)
+        assert report.v2_total == 0 and report.passed, (q, alpha)
