@@ -1,7 +1,8 @@
 """Exact integer and rational arithmetic primitives.
 
-Everything here is arbitrary precision and deterministic: Python ints for
-naturals, ``fractions.Fraction`` for exact rationals.  No floating point.
+Everything here is exact and deterministic: Python ints for naturals (int64
+arrays for the prime sieve), ``fractions.Fraction`` for exact rationals.  No
+floating point.
 """
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import FactorBoundError
 
@@ -40,6 +43,9 @@ PROBABLE_PRIME_WITNESSES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
     53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
+
+#: Numbers per segment of primes_between.
+_SIEVE_SEGMENT = 1 << 18
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -102,16 +108,32 @@ def primality_is_proven(n: int) -> bool:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """All primes <= limit, by a byte sieve."""
-    if limit < 2:
-        return []
-    sieve = bytearray((1,)) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= limit, as a list of ints."""
+    return primes_between(2, limit).tolist()
+
+
+def primes_between(lo: int, hi: int) -> np.ndarray:
+    """All primes p with lo <= p <= hi, ascending, by a segmented sieve.
+
+    The flags of one segment of _SIEVE_SEGMENT numbers are all it holds
+    besides the primes up to sqrt(hi) and the result.
+
+    >>> primes_between(90, 110).tolist()
+    [97, 101, 103, 107, 109]
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return np.empty(0, dtype=np.int64)
+    base = primes_between(2, math.isqrt(hi))
+    segments = []
+    for start in range(lo, hi + 1, _SIEVE_SEGMENT):
+        flags = np.ones(min(_SIEVE_SEGMENT, hi + 1 - start), dtype=bool)
+        # each base prime p crosses out its multiples from max(p^2, start) on
+        first = np.maximum(base * base, -(-start // base) * base) - start
+        for p, i in zip(base.tolist(), first.tolist()):
+            flags[i::p] = False
+        segments.append(np.flatnonzero(flags).astype(np.int64) + start)
+    return np.concatenate(segments)
 
 
 def first_odd_primes(count: int) -> list[int]:

@@ -2,13 +2,20 @@
 
 The scan walks primes q in a range and exponents alpha in a range, testing
 whether sigma(q^alpha) is twice a square (TWO_N_SQUARED) or a square
-(N_SQUARED).  Work is sharded into fixed-size contiguous prime blocks so the
-merged output is byte-identical for any worker count, which is what makes
-golden-file and resume testing possible.
+(N_SQUARED).  Work is sharded into contiguous q-intervals of SHARD_WIDTH
+numbers, each of which sieves its own primes, so the merged output is
+byte-identical for any worker count, which is what makes golden-file and
+resume testing possible.
+
+Within a shard, sigma(q^alpha) mod M is built for every prime at once, alpha
+by alpha, in int64 arithmetic, and compared with the residues that k*n^2
+can take mod each factor of M (k = 2 or 1; H. Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 1.7.3).  Only the pairs that
+pass get the exact sigma and square test.
 """
 from __future__ import annotations
 
-import bisect
+import collections
 import enum
 import hashlib
 import json
@@ -18,12 +25,19 @@ import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arith import isqrt_exact, primes_upto
+import numpy as np
+
+from .arith import is_prime, isqrt_exact, primes_between, sigma_prime_power
 from .errors import CheckpointError, ConsistencyError
 
-#: Primes per shard.  Small enough that interrupt/resume granularity is
+#: Numbers q per shard.  Small enough that interrupt/resume granularity is
 #: useful, large enough that process overhead stays negligible.
-SHARD_PRIMES = 128
+SHARD_WIDTH = 1 << 14
+
+#: The factors m of the residue sieve's modulus M = 5 765 760.  A residue
+#: is below M, so a product of two stays below M^2 < 2^63.
+_RESIDUE_MODULI = (128, 63, 65, 11)
+_RESIDUE_MODULUS = math.prod(_RESIDUE_MODULI)
 
 
 class Equation(str, enum.Enum):
@@ -31,6 +45,23 @@ class Equation(str, enum.Enum):
 
     TWO_N_SQUARED = "2nsq"  # 2n^2 = sigma(q^alpha)
     N_SQUARED = "nsq"  # n^2 = sigma(q^beta)
+
+
+def _residue_tables(k: int) -> tuple[np.ndarray, ...]:
+    """Per modulus m, flags of the residues k*r^2 mod m: those k*n^2 can take."""
+    tables = []
+    for m in _RESIDUE_MODULI:
+        flags = np.zeros(m, dtype=bool)
+        flags[k * np.arange(m) ** 2 % m] = True
+        tables.append(flags)
+    return tuple(tables)
+
+
+#: sigma(q^alpha) is k*n^2 only if it is one of these residues mod every m.
+_RESIDUE_TABLES = {
+    Equation.TWO_N_SQUARED.value: _residue_tables(2),
+    Equation.N_SQUARED.value: _residue_tables(1),
+}
 
 
 @dataclass(frozen=True)
@@ -167,50 +198,62 @@ def split_solution(q: int, alpha: int, n: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _scan_shard(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
-    """Scan one block of primes; runs in a worker process.
+def _solution(two_nsq: bool, q: int, alpha: int) -> tuple | None:
+    """The hit (q, alpha, n, split) when sigma(q^alpha) is 2n^2 (two_nsq) or n^2."""
+    sigma = sigma_prime_power(q, alpha)
+    if not two_nsq:
+        n = isqrt_exact(sigma)
+        return None if n is None else (q, alpha, n, None)
+    if sigma % 2:
+        # odd for every even alpha and for q = 2: never 2n^2
+        return None
+    n = isqrt_exact(sigma // 2)
+    return None if n is None else (q, alpha, n, split_solution(q, alpha, n))
 
-    Returns plain tuples rather than SolutionRecords to keep the pickled
-    payload small.
+
+def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
+    """The primes q in [lo, hi] that the residue filter admits."""
+    primes = primes_between(lo, hi)
+    return primes if residue_filter is None else primes[primes % 4 == residue_filter]
+
+
+def _scan_shard(args: tuple[int, int, str, int | None, int, int]) -> tuple[int, list[tuple]]:
+    """Scan the eligible primes of one q-interval; runs in a worker process.
+
+    Only the (q, alpha) whose sigma mod M passes every residue table get the
+    exact sigma and square test.  Returns how many primes it scanned and its hits in (q, alpha) order, as
+    plain tuples rather than SolutionRecords to keep the pickled payload
+    small.
     """
-    primes, equation_value, alpha_min, alpha_max = args
+    lo, hi, equation_value, residue_filter, alpha_min, alpha_max = args
+    primes = _eligible(lo, hi, residue_filter)
+    tables = _RESIDUE_TABLES[equation_value]
     two_nsq = equation_value == Equation.TWO_N_SQUARED.value
+    base = primes % _RESIDUE_MODULUS
+    power = np.ones_like(base)
+    sigma = np.ones_like(base)
     hits: list[tuple] = []
-    for q in primes:
-        sigma = 1
-        power = 1
-        for alpha in range(1, alpha_max + 1):
-            power *= q
-            sigma += power
-            if alpha < alpha_min:
-                continue
-            if two_nsq:
-                if sigma % 2:
-                    # odd for every even alpha and for q = 2: never 2n^2
-                    continue
-                n = isqrt_exact(sigma // 2)
-                if n is not None:
-                    hits.append((q, alpha, n, split_solution(q, alpha, n)))
-            else:
-                n = isqrt_exact(sigma)
-                if n is not None:
-                    hits.append((q, alpha, n, None))
-    return hits
+    for alpha in range(1, alpha_max + 1):
+        power = power * base % _RESIDUE_MODULUS
+        sigma = (sigma + power) % _RESIDUE_MODULUS
+        if alpha < alpha_min:
+            continue
+        passed = np.logical_and.reduce(
+            [table[sigma % m] for m, table in zip(_RESIDUE_MODULI, tables)]
+        )
+        for q in primes[passed].tolist():
+            hit = _solution(two_nsq, q, alpha)
+            if hit is not None:
+                hits.append(hit)
+    hits.sort(key=lambda hit: hit[:2])
+    return len(primes), hits
 
 
-def _shards(primes: list[int]) -> list[tuple[int, ...]]:
-    return [
-        tuple(primes[lo : lo + SHARD_PRIMES]) for lo in range(0, len(primes), SHARD_PRIMES)
-    ]
-
-
-def _eligible_primes(cfg: SearchConfig) -> list[int]:
-    return [
-        p
-        for p in primes_upto(cfg.q_max)
-        if p >= cfg.q_min
-        and (cfg.residue_filter is None or p % 4 == cfg.residue_filter)
-    ]
+def _intervals(lo: int, hi: int):
+    """[lo, hi] from q = 2 on, as consecutive shards of SHARD_WIDTH numbers."""
+    width = SHARD_WIDTH
+    for a in range(max(lo, 2), hi + 1, width):
+        yield a, min(a + width - 1, hi)
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:
@@ -221,14 +264,16 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     and a previous run with the same config identity is continued instead of
     restarted; the final report is byte-identical either way.
     """
-    primes = _eligible_primes(cfg)
-    done, records = 0, []
+    done, records, scanned = cfg.q_min - 1, [], 0
     if cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path):
-        done, records = checkpoint_resume(cfg, primes)
-    shards = _shards(primes[done:])
-    for shard, hits in zip(shards, _shard_results(cfg, shards)):
+        done, records = checkpoint_resume(cfg)
+        # re-derived, not read from disk: the primes up to the cursor
+        scanned = sum(
+            len(_eligible(lo, hi, cfg.residue_filter)) for lo, hi in _intervals(cfg.q_min, done)
+        )
+    for done, count, hits in _shard_results(cfg, done + 1):
         records += [SolutionRecord(cfg.equation, *hit) for hit in hits]
-        done += len(shard)
+        scanned += count
         if cfg.checkpoint_path is not None:
             checkpoint_save(cfg, done, records)
     # sigma(q^alpha) is odd for even alpha: never 2n^2, for any scanned prime
@@ -237,38 +282,50 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         if cfg.equation is Equation.TWO_N_SQUARED
         else 0
     )
-    return SearchReport(cfg, tuple(records), len(primes), skip_per_prime * len(primes))
+    return SearchReport(cfg, tuple(records), scanned, skip_per_prime * scanned)
 
 
-def _shard_results(cfg: SearchConfig, shards: list[tuple[int, ...]]):
-    payloads = [
-        (shard, cfg.equation.value, cfg.alpha_min, cfg.alpha_max) for shard in shards
-    ]
+def _shard_results(cfg: SearchConfig, lo: int):
+    """(last q, primes scanned, hits) of each shard of [lo, q_max], in order."""
+    payloads = (
+        (a, b, cfg.equation.value, cfg.residue_filter, cfg.alpha_min, cfg.alpha_max)
+        for a, b in _intervals(lo, cfg.q_max)
+    )
+    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
     # a pool starts all its workers at once: never more than there is work or CPUs
-    workers = min(cfg.worker_count, len(shards), os.cpu_count() or 1)
+    workers = min(cfg.worker_count, shards, os.cpu_count() or 1)
     if workers <= 1:
-        yield from map(_scan_shard, payloads)
+        for payload in payloads:
+            yield payload[1], *_scan_shard(payload)
         return
     # workers ignore Ctrl-C, so only this process handles it
     pool = ProcessPoolExecutor(
         workers, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN)
     )
     try:
-        # executor.map preserves submission order, so merge order is fixed
-        yield from pool.map(_scan_shard, payloads)
+        # two shards in flight per worker keep it busy; results leave in
+        # submission order, so merge order is fixed, and memory stays bounded
+        pending = collections.deque()
+        for payload in payloads:
+            pending.append((payload[1], pool.submit(_scan_shard, payload)))
+            if len(pending) == 2 * workers:
+                last, future = pending.popleft()
+                yield last, *future.result()
+        for last, future in pending:
+            yield last, *future.result()
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-def checkpoint_save(cfg: SearchConfig, primes_done: int, records: list[SolutionRecord]) -> None:
+def checkpoint_save(cfg: SearchConfig, q_done: int, records: list[SolutionRecord]) -> None:
     """Atomically write cfg's checkpoint; an existing file is never corrupted.
 
-    The record holds the search identity, how many eligible primes are done,
-    the (q, alpha) of each hit among them, and a digest of those three.
+    The record holds the search identity, the largest q whose shard is done,
+    the (q, alpha) of each hit up to it, and a digest of those three.
     """
     body = {
         "config": cfg.identity(),
-        "primes_done": primes_done,
+        "q_done": q_done,
         "hits": [[r.q, r.alpha] for r in records],
     }
     path = cfg.checkpoint_path
@@ -281,20 +338,22 @@ def checkpoint_save(cfg: SearchConfig, primes_done: int, records: list[SolutionR
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def checkpoint_resume(cfg: SearchConfig, primes: list[int]) -> tuple[int, list[SolutionRecord]]:
-    """How many of primes cfg's checkpoint has done, and the hits among them.
+def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
+    """The largest q cfg's checkpoint has done, and the hits up to it.
 
     Raises CheckpointError unless the file matches its digest (which catches
-    an edited, truncated or corrupt file, not a forged one) and cfg, counts
-    no more than len(primes), and lists each hit as a pair of ints, with q
-    among the primes done and alpha in range, in strictly ascending order,
-    that rescanning finds again.  The records returned are those rescans.
+    an edited, truncated or corrupt file, or one in an older format, not a
+    forged one) and cfg, holds an int cursor in [q_min - 1, q_max], and
+    lists each hit as a pair of ints, with q a prime in [q_min, cursor] that
+    the residue filter admits and alpha in range, in strictly ascending
+    order, that rescanning finds again.  The records returned are those
+    rescans.
     """
     path = cfg.checkpoint_path
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        body = {key: payload[key] for key in ("config", "primes_done", "hits")}
+        body = {key: payload[key] for key in ("config", "q_done", "hits")}
         intact = payload["digest"] == digest(body)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
@@ -310,27 +369,28 @@ def checkpoint_resume(cfg: SearchConfig, primes: list[int]) -> tuple[int, list[S
             f"checkpoint {path} belongs to config {digest(body['config'])}, "
             f"not {cfg.config_hash()}"
         )
-    done, pairs = body["primes_done"], body["hits"]
-    if type(done) is not int or not 0 <= done <= len(primes) or type(pairs) is not list:
-        raise CheckpointError(f"checkpoint {path} does not fit this search's primes")
+    done, pairs = body["q_done"], body["hits"]
+    if type(done) is not int or not cfg.q_min - 1 <= done <= cfg.q_max or type(pairs) is not list:
+        raise CheckpointError(f"checkpoint {path} does not fit this search's q-range")
     records: list[SolutionRecord] = []
     for pair in pairs:
         # type(x) is int: a JSON true or 1.0 is not a q or an alpha
         ok = type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
         if ok:
             q, alpha = pair
-            i = bisect.bisect_left(primes, q, 0, done)
             ok = (
-                i < done
-                and primes[i] == q
+                cfg.q_min <= q <= done
+                and cfg.residue_filter in (None, q % 4)
                 and cfg.alpha_min <= alpha <= cfg.alpha_max
                 and (not records or (records[-1].q, records[-1].alpha) < (q, alpha))
+                # the rescan alone would accept a composite q: sigma(8) = 3^2
+                and is_prime(q)
             )
-        again = _scan_shard(((q,), cfg.equation.value, alpha, alpha)) if ok else []
-        if not again:
+        again = _solution(cfg.equation is Equation.TWO_N_SQUARED, q, alpha) if ok else None
+        if again is None:
             raise CheckpointError(
                 f"checkpoint {path} holds a hit this search does not find: "
                 f"{canonical_json(pair)}"
             )
-        records.append(SolutionRecord(cfg.equation, *again[0]))
+        records.append(SolutionRecord(cfg.equation, *again))
     return done, records

@@ -1,10 +1,14 @@
 """Brute-force oracles, deliberately independent of the package internals.
 
 Everything here recomputes results the slow, obvious way: divisor
-enumeration for sigma, trial division for primality and factors, bisection for
-squareness.  Tests freeze expected values through these functions so the
-fast paths in the package are checked against a second opinion, never
-against themselves.
+enumeration for sigma, trial division for primality and factors, crossing
+out the multiples of every d for a sieve, bisection for squareness.  Tests
+freeze expected values through these functions so the fast paths in the
+package are checked against a second opinion, never against themselves.
+The one exception is scan_shard_isqrt, the search kernel before its residue
+sieve, which uses the package's square test and split.  It imports them when
+called: perfbench/refs.py loads this module before the set-up probe times
+the package's import.
 """
 from __future__ import annotations
 
@@ -35,6 +39,20 @@ def factor_trial(n: int) -> dict[int, int]:
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
     return factors
+
+
+def primes_in(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi]: cross out, in one bytearray of the interval, the
+    multiples m >= d*d of every d in 2..isqrt(hi), prime or not.
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    flags = bytearray([1]) * (hi - lo + 1)
+    for d in range(2, math.isqrt(hi) + 1):
+        start = max(d * d, -(-lo // d) * d) - lo
+        flags[start::d] = bytes(len(range(start, len(flags), d)))
+    return [lo + i for i, flag in enumerate(flags) if flag]
 
 
 def sigma_divisor_sum(n: int) -> int:
@@ -152,4 +170,41 @@ def search_solutions(
                 n = square_root_scan(s)
             if n is not None:
                 hits.append((q, alpha, n))
+    return hits
+
+
+def scan_shard_isqrt(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
+    """Scan one block of primes; runs in a worker process.
+
+    Returns plain tuples rather than SolutionRecords to keep the pickled
+    payload small.
+
+    (The search kernel before its residue sieve, kept verbatim: an exact
+    sigma and square test for every (q, alpha).)
+    """
+    from oddperfect.arith import isqrt_exact
+    from oddperfect.search import Equation, split_solution
+
+    primes, equation_value, alpha_min, alpha_max = args
+    two_nsq = equation_value == Equation.TWO_N_SQUARED.value
+    hits: list[tuple] = []
+    for q in primes:
+        sigma = 1
+        power = 1
+        for alpha in range(1, alpha_max + 1):
+            power *= q
+            sigma += power
+            if alpha < alpha_min:
+                continue
+            if two_nsq:
+                if sigma % 2:
+                    # odd for every even alpha and for q = 2: never 2n^2
+                    continue
+                n = isqrt_exact(sigma // 2)
+                if n is not None:
+                    hits.append((q, alpha, n, split_solution(q, alpha, n)))
+            else:
+                n = isqrt_exact(sigma)
+                if n is not None:
+                    hits.append((q, alpha, n, None))
     return hits

@@ -19,10 +19,12 @@ def test_every_exported_name_resolves():
 
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
-                 "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND"):
+                 "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND",
+                 "SHARD_PRIMES"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     assert not hasattr(oddperfect.search, "CheckpointState")
+    assert not hasattr(oddperfect.search, "SHARD_PRIMES")
     assert not hasattr(oddperfect.arith, "FACTOR_BOUND")
 
 
@@ -39,3 +41,6 @@ def test_run_search_takes_only_a_config():
 def test_size_parameters_are_constants():
     for fn in (oddperfect.factorize, oddperfect.odd_multiperfect_upto):
         assert len(inspect.signature(fn).parameters) == 1, fn.__name__
+    # criterion 10 interrupts the third of at least three shards at q <= 50 000
+    assert type(oddperfect.search.SHARD_WIDTH) is int
+    assert 0 < oddperfect.search.SHARD_WIDTH <= 16_666

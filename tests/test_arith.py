@@ -9,9 +9,10 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oddperfect import arith
 from oddperfect.arith import (
@@ -22,6 +23,7 @@ from oddperfect.arith import (
     is_prime,
     isqrt_exact,
     primality_is_proven,
+    primes_between,
     primes_upto,
     sigma,
     sigma_prime_power,
@@ -33,6 +35,7 @@ from _oracles import (
     factor_trial,
     is_prime_trial,
     pascal_binomial,
+    primes_in,
     sigma_divisor_sum,
     square_root_scan,
     v2_int,
@@ -82,6 +85,49 @@ class TestPrimesUpto:
 
     def test_count_to_100k(self):
         assert len(primes_upto(100_000)) == 9592
+
+    def test_every_limit_below_2000(self):
+        for limit in range(2000):
+            primes = primes_upto(limit)
+            assert type(primes) is list and all(type(p) is int for p in primes)
+            assert primes == primes_in(0, limit), limit
+            assert primes_between(0, limit).tolist() == primes_in(0, limit), limit
+            assert primes_between(limit, 1999).tolist() == primes_in(limit, 1999), limit
+
+
+class TestPrimesBetween:
+    @pytest.mark.parametrize("segment", [7, 64])
+    def test_squares_and_segment_boundaries(self, monkeypatch, segment):
+        monkeypatch.setattr(arith, "_SIEVE_SEGMENT", segment)
+        ends = {p * p + d for p in (2, 3, 5, 7, 31, 97, 1009) for d in (-1, 0, 1)}
+        ends |= {k * segment + d for k in (1, 2, 5) for d in (-1, 0, 1)}
+        for lo in sorted(ends):
+            for hi in (lo, lo + 1, lo + segment - 1, lo + segment, lo + segment + 1,
+                       lo + 3 * segment):
+                assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+
+    def test_default_segment_boundary(self):
+        segment = arith._SIEVE_SEGMENT
+        for lo in (2, 1_000_003):
+            for hi in (lo + segment - 1, lo + segment, lo + segment + 1):
+                assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+
+    def test_empty_and_degenerate_intervals(self):
+        assert primes_between(-10, 1).tolist() == []
+        assert primes_between(-10, 10).tolist() == [2, 3, 5, 7]
+        assert primes_between(1, 2).tolist() == [2]
+        assert primes_between(2, 2).tolist() == [2]
+        assert primes_between(24, 28).tolist() == []
+        assert primes_between(11, 10).tolist() == []
+        assert primes_between(10**9, 3).tolist() == []
+        assert primes_between(5, -5).dtype == primes_between(5, 7).dtype == "int64"
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=-5, max_value=10**7), st.integers(min_value=-5, max_value=3000),
+           st.integers(min_value=64, max_value=4096))
+    def test_matches_plain_sieve(self, lo, width, segment):
+        with mock.patch.object(arith, "_SIEVE_SEGMENT", segment):
+            assert primes_between(lo, lo + width).tolist() == primes_in(lo, lo + width)
 
 
 class TestFactorize:

@@ -104,10 +104,10 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("edit", [
         lambda p: p.update(hits=[]),
-        lambda p: p.update(primes_done=p["primes_done"] + 1),
+        lambda p: p.update(q_done=p["q_done"] + 1),
         lambda p: p.update(digest=p["digest"][::-1]),
         None,
-    ], ids=["hits_emptied", "primes_done_raised", "digest_changed", "old_format"])
+    ], ids=["hits_emptied", "q_done_raised", "digest_changed", "old_format"])
     def test_unsealed_checkpoint_edit_exits_three(self, capsys, tmp_path, edit):
         ckpt = tmp_path / "scan.ckpt"
         argv = ["search", "--equation", "nsq", "--q-max", "300", "--alpha-max", "4",
@@ -120,6 +120,20 @@ class TestSearchCommand:
             edit(payload)
             ckpt.write_text(json.dumps(payload))
         capsys.readouterr()
+        assert cli.run(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("i/o error") and captured.err.count("\n") == 1
+
+    def test_prime_count_checkpoint_exits_three(self, capsys, tmp_path):
+        # the finished checkpoint of the command below as the prime-count format
+        # wrote it, sealed by its own digest
+        ckpt = tmp_path / "scan.ckpt"
+        argv = ["search", "--equation", "nsq", "--q-max", "300", "--alpha-max", "4",
+                "--checkpoint", str(ckpt), "--format", "jsonl"]
+        identity = SearchConfig(Equation.N_SQUARED, q_max=300, alpha_max=4).identity()
+        body = {"config": identity, "primes_done": 61, "hits": [[3, 1], [3, 4], [7, 3]]}
+        ckpt.write_text(json.dumps({**body, "digest": digest(body)}))
         assert cli.run(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -173,12 +187,15 @@ class TestViolationDetector:
         monkeypatch.setattr(cli, "run_search", boom)
         assert cli.run(["search", "--equation", "2nsq"]) == 2
 
-    def test_failing_certificate_exits_two(self, capsys, monkeypatch):
-        from oddperfect.quadratic import CertificateReport
+    def test_certificate_consistency_error_exits_two(self, capsys, monkeypatch):
+        def boom(q, alpha):
+            raise ConsistencyError(f"summand below 1 at q={q} alpha={alpha}")
 
-        fake = CertificateReport(q=13, alpha=7, summands=((2, 0),), v2_total=1, passed=False)
-        monkeypatch.setattr(cli, "two_adic_certificate", lambda q, alpha: fake)
+        monkeypatch.setattr(cli, "two_adic_certificate", boom)
         assert cli.run(["certify", "--q", "13", "--alpha", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("theorem violation:") and captured.err.count("\n") == 1
 
 
 class TestCertifyCommand:

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,9 +12,9 @@ import oddperfect.search
 from oddperfect.errors import CheckpointError, ConsistencyError
 from oddperfect.quadratic import QuadInt
 from oddperfect.search import (
-    SHARD_PRIMES,
     Equation,
     SearchConfig,
+    SearchReport,
     SolutionRecord,
     checkpoint_resume,
     checkpoint_save,
@@ -21,7 +23,11 @@ from oddperfect.search import (
     split_solution,
 )
 
-from _oracles import search_solutions, sigma_prime_power_sum
+from _oracles import primes_in, scan_shard_isqrt, search_solutions, sigma_prime_power_sum
+
+#: Shard width that splits q <= 3000 into 4 shards, as many as the 128-prime
+#: shards these tests were written for.
+NARROW = 750
 
 
 def two_nsq(**kw):
@@ -134,6 +140,81 @@ class TestOracleEquivalence:
         assert got == search_solutions("2nsq", 3, 200, 1, 6, residue_filter=3)
 
 
+def oracle_jsonl(cfg: SearchConfig) -> str:
+    """cfg's JSONL report from the isqrt-per-pair kernel over the plain sieve."""
+    primes = [q for q in primes_in(cfg.q_min, cfg.q_max) if cfg.residue_filter in (None, q % 4)]
+    hits = scan_shard_isqrt((tuple(primes), cfg.equation.value, cfg.alpha_min, cfg.alpha_max))
+    even = sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
+    skip = even if cfg.equation is Equation.TWO_N_SQUARED else 0
+    records = tuple(SolutionRecord(cfg.equation, *hit) for hit in hits)
+    return SearchReport(cfg, records, len(primes), skip * len(primes)).to_jsonl()
+
+
+# the search configs of acceptance criteria 01, 02 (both), 03 and 09 (both)
+CRITERIA = [
+    two_nsq(q_max=50_000, alpha_min=3, residue_filter=1),
+    nsq(q_max=50_000, residue_filter=1),
+    nsq(q_max=50_000),
+    two_nsq(q_max=200, alpha_max=1),
+    two_nsq(q_max=500, alpha_max=8),
+    nsq(q_max=500, alpha_max=8),
+]
+
+
+class TestKernelAgainstOracle:
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    @pytest.mark.parametrize("cfg", CRITERIA, ids=["c01", "c02", "c02_contrast", "c03",
+                                                   "c09_2nsq", "c09_nsq"])
+    def test_criterion_configs(self, cfg, jobs):
+        assert run_search(replace(cfg, worker_count=jobs)).to_jsonl() == oracle_jsonl(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        nsq(q_min=2, q_max=2, alpha_max=60),
+        nsq(q_min=2, q_max=40, alpha_max=12),
+        two_nsq(q_min=2, q_max=40, alpha_max=12),
+        nsq(q_min=7, q_max=7, alpha_max=9),
+        two_nsq(q_min=7, q_max=7, alpha_max=9),
+        two_nsq(q_min=8, q_max=8),
+    ], ids=["q_2", "from_q_2_nsq", "from_q_2_2nsq", "one_prime_nsq", "one_prime_2nsq",
+            "one_composite"])
+    def test_edge_ranges(self, cfg):
+        assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
+
+    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
+    def test_large_q_and_alpha(self, monkeypatch, equation, k):
+        # sigma mod M for q ~ 1e8 and alpha up to 101 needs the int64 products;
+        # the window holds the 2nsq hit q = 2*7076^2 - 1 = 100139551
+        cfg = SearchConfig(equation, q_min=100_100_000, q_max=100_100_000 + (1 << 16) - 1,
+                           alpha_max=101)
+        real, tested = oddperfect.search._solution, []
+
+        def solution(two_nsq, q, alpha):
+            tested.append((q, alpha))
+            return real(two_nsq, q, alpha)
+
+        monkeypatch.setattr(oddperfect.search, "_solution", solution)
+        assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
+        # exactly the pairs whose exact sigma is a k*r^2 residue mod every m get tested
+        residues = {m: {k * r * r % m for r in range(m)} for m in (128, 63, 65, 11)}
+        expected = []
+        for q in primes_in(cfg.q_min, cfg.q_max):
+            sigma = power = 1
+            for alpha in range(1, cfg.alpha_max + 1):
+                power *= q
+                sigma += power
+                if all(sigma % m in allowed for m, allowed in residues.items()):
+                    expected.append((q, alpha))
+        assert sorted(tested) == expected
+
+    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
+    def test_residue_tables(self, equation, k):
+        tables = oddperfect.search._RESIDUE_TABLES[equation.value]
+        assert len(tables) == 4
+        for m, table in zip((128, 63, 65, 11), tables):
+            assert len(table) == m
+            assert set(table.nonzero()[0].tolist()) == {k * r * r % m for r in range(m)}
+
+
 class TestCoverageAccounting:
     def test_scanned_and_skipped_counts(self):
         report = run_search(two_nsq(q_min=3, q_max=100, alpha_max=9))
@@ -194,6 +275,39 @@ class TestWorkerDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """A pool that scans each shard in this process when it is submitted.
+
+    It records the size of each pool made and the most shards submitted but
+    not yet collected.
+    """
+    seen = SimpleNamespace(sizes=[], in_flight=0, peak=0)
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            seen.in_flight -= 1
+            return self.value
+
+    class FakePool:
+        def __init__(self, max_workers, **kwargs):
+            seen.sizes.append(max_workers)
+
+        def submit(self, fn, payload):
+            seen.in_flight += 1
+            seen.peak = max(seen.peak, seen.in_flight)
+            return Done(fn(payload))
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", FakePool)
+    return seen
+
+
 class TestWorkerCap:
     @pytest.mark.parametrize("q_max, cpus, pools", [
         (3000, 64, [4]),
@@ -201,37 +315,38 @@ class TestWorkerCap:
         (3000, None, []),
         (500, 64, []),
     ], ids=["4_shards", "3_cpus", "cpus_unknown", "1_shard"])
-    def test_pool_never_exceeds_shards_or_cpus(self, monkeypatch, q_max, cpus, pools):
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers, **kwargs):
-                sizes.append(max_workers)
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
-
-            def shutdown(self, **kwargs):
-                pass
-
-        monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", FakePool)
+    def test_pool_never_exceeds_shards_or_cpus(self, monkeypatch, fake_pool, q_max, cpus, pools):
         monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         report = run_search(two_nsq(q_max=q_max, alpha_max=9, worker_count=100_000))
-        assert sizes == pools
+        assert fake_pool.sizes == pools
         assert report.to_jsonl() == run_search(two_nsq(q_max=q_max, alpha_max=9)).to_jsonl()
+
+    def test_shards_in_flight_are_bounded(self, monkeypatch, fake_pool):
+        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        report = run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
+        # 30 shards: two per worker in flight, and every result collected
+        assert fake_pool.sizes == [2]
+        assert fake_pool.peak == 4 and fake_pool.in_flight == 0
+        assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
 
 
 # nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
 NSQ = dict(equation=Equation.N_SQUARED, alpha_min=2, alpha_max=4)
 # 2nsq hits at q = 17, 97, 241 (alpha = 1); the hit at q = 7 is 3 mod 4
 TWO_NSQ = dict(equation=Equation.TWO_N_SQUARED, residue_filter=1, alpha_max=1)
+# nsq hits (3, 1, 2), (3, 4, 11) and (7, 3, 20); sigma(8^1) = 9 = 3^2, but 8 is no prime
+NSQ_FROM_1 = dict(equation=Equation.N_SQUARED, alpha_max=4)
+# 2nsq hits at q = 97, 241; the hit at q = 17 is below q_min
+TWO_NSQ_FROM_20 = dict(TWO_NSQ, q_min=20)
 
 
 def rewrite(path, edit):
     """Apply edit(payload, hits) to the checkpoint at path and re-seal its digest."""
     payload = json.loads(path.read_text())
     edit(payload, payload["hits"])
-    body = {key: payload[key] for key in ("config", "primes_done", "hits")}
+    body = {key: payload[key] for key in ("config", "q_done", "hits")}
     path.write_text(json.dumps({**body, "digest": digest(body)}))
 
 
@@ -248,12 +363,17 @@ class TestCheckpointing:
         (TWO_NSQ, lambda p, hits: hits[0].__setitem__(1, True)),
         (TWO_NSQ, lambda p, hits: hits[0].append(3)),
         (TWO_NSQ, lambda p, hits: p.update(hits=None)),
-        (TWO_NSQ, lambda p, hits: p.update(primes_done=1)),
-        (TWO_NSQ, lambda p, hits: p.update(primes_done=p["primes_done"] + 1)),
-        (TWO_NSQ, lambda p, hits: p.update(primes_done=float(p["primes_done"]))),
+        (TWO_NSQ, lambda p, hits: p.update(q_done=100)),
+        (TWO_NSQ, lambda p, hits: p.update(q_done=p["q_done"] + 1)),
+        (TWO_NSQ, lambda p, hits: p.update(q_done=float(p["q_done"]))),
+        (NSQ_FROM_1, lambda p, hits: hits.append([8, 1])),
+        (TWO_NSQ_FROM_20, lambda p, hits: hits.insert(0, [17, 1])),
+        (TWO_NSQ, lambda p, hits: p.update(q_done=p["config"]["q_min"] - 2, hits=[])),
+        (dict(NSQ_FROM_1, q_min=2), lambda p, hits: p.update(q_done=True, hits=[])),
     ], ids=["not_a_hit", "wrong_equation", "duplicate", "descending", "alpha_out_of_range",
             "q_not_eligible", "q_above_q_max", "q_not_int", "alpha_not_int", "not_a_pair",
-            "hits_not_a_list", "q_beyond_cursor", "cursor_beyond_primes", "cursor_not_int"])
+            "hits_not_a_list", "q_beyond_cursor", "cursor_beyond_primes", "cursor_not_int",
+            "q_not_prime", "q_below_q_min", "cursor_below_q_min", "cursor_true"])
     def test_resumed_hits_are_verified(self, tmp_path, search, edit):
         # each edit re-seals the digest, so the checks behind it must refuse
         path = tmp_path / "scan.ckpt"
@@ -282,12 +402,13 @@ class TestCheckpointing:
     def test_fresh_interrupt_resume_cycle(self, tmp_path, monkeypatch):
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=str(path))
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         with monkeypatch.context() as m:
             interrupt_at_shard(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
-        # the checkpoint written after shard 0 survives the interrupt
-        assert json.loads(path.read_text())["primes_done"] == SHARD_PRIMES
+        # the checkpoint written after shard 0, q in [3, 752], survives the interrupt
+        assert json.loads(path.read_text())["q_done"] == 3 + NARROW - 1
         resumed = run_search(cfg)
         clean = run_search(two_nsq(q_max=3000, alpha_max=9))
         assert resumed.to_jsonl() == clean.to_jsonl()
@@ -299,11 +420,12 @@ class TestCheckpointing:
         path = str(tmp_path / "scan.ckpt")
         cfg = two_nsq(q_max=3000, alpha_max=1, checkpoint_path=path)
         with monkeypatch.context() as m:
+            m.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
             interrupt_at_shard(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
         with monkeypatch.context() as m:
-            m.setattr(oddperfect.search, "SHARD_PRIMES", 96)
+            m.setattr(oddperfect.search, "SHARD_WIDTH", 560)
             resumed = run_search(cfg).to_jsonl()
         assert resumed == run_search(two_nsq(q_max=3000, alpha_max=1)).to_jsonl()
 
@@ -316,6 +438,7 @@ class TestCheckpointing:
 
     def test_mismatched_config_rejected(self, tmp_path, monkeypatch):
         path = str(tmp_path / "scan.ckpt")
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         with monkeypatch.context() as m:
             interrupt_at_shard(m, 1)
             with pytest.raises(KeyboardInterrupt):
@@ -339,11 +462,10 @@ class TestCheckpointing:
     def test_save_resume_round_trip(self, tmp_path):
         path = tmp_path / "state.ckpt"
         cfg = two_nsq(q_max=100, alpha_max=9, checkpoint_path=str(path))
-        primes = [p for p in primes_upto(100) if p >= 3]
         record = SolutionRecord(Equation.TWO_N_SQUARED, 7, 1, 2, (1, 2))
         checkpoint_save(cfg, 10, [record])
         assert json.loads(path.read_text())["hits"] == [[7, 1]]
-        assert checkpoint_resume(cfg, primes) == (10, [record])
+        assert checkpoint_resume(cfg) == (10, [record])
 
     def test_unwritable_checkpoint_path_raises(self, tmp_path):
         cfg = two_nsq(q_max=100, alpha_max=3,
