@@ -10,7 +10,6 @@ from types import ModuleType as _ModuleType
 from .arith import (
     DETERMINISTIC_PRIME_BOUND,
     Factorization,
-    binomial,
     factorize,
     is_prime,
     isqrt_exact,

@@ -136,20 +136,6 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(segments)
 
 
-def first_odd_primes(count: int) -> list[int]:
-    """The first ``count`` odd primes: 3, 5, 7, 11, ...
-
-    >>> first_odd_primes(4)
-    [3, 5, 7, 11]
-    """
-    limit = 32
-    while True:
-        ps = primes_upto(limit)[1:]
-        if len(ps) >= count:
-            return ps[:count]
-        limit *= 4
-
-
 @dataclass(frozen=True)
 class Factorization:
     """A positive integer as an ordered product of prime powers.
@@ -363,19 +349,3 @@ def _vp_int(p: int, n: int) -> int:
         v += 1
     return v
 
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 when k > n.
-
-    Multiplicative formula with exact division at every step, which keeps
-    intermediates no larger than the result.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires non-negative arguments")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result

@@ -16,9 +16,9 @@ from .arith import (
     Factorization,
     _vp_int,
     factorize,
-    first_odd_primes,
     isqrt_exact,
     primality_is_proven,
+    primes_upto,
     sigma,
     sigma_prime_power,
 )
@@ -120,9 +120,10 @@ def dhp_decompose(n: int) -> tuple[int, int, int] | None:
 
 
 def _dhp_decompose(n: int, f: Factorization) -> tuple[int, int, int] | None:
-    for i, (q, alpha) in enumerate(f):
-        # m's factorization is n's without q^alpha (m = 1 fails: sigma(1) = 1)
-        if sigma(Factorization(f.factors[:i] + f.factors[i + 1 :])) == q**alpha:
+    s = sigma(f)
+    for q, alpha in f:
+        # q does not divide m, so sigma(m) = sigma(n) / sigma(q^alpha)
+        if s == q**alpha * sigma_prime_power(q, alpha):
             return n // q**alpha, q, alpha
     return None
 
@@ -226,7 +227,8 @@ def omega_bound_product(count: int) -> int:
     if not 1 <= count <= 1000:
         raise ValueError(f"count must be in [1, 1000], got {count}")
     product = 1
-    for p in first_odd_primes(count):
+    # 7927 is the 1001st prime, so the list holds the first 1000 odd primes
+    for p in primes_upto(7927)[1 : count + 1]:
         product *= sigma_prime_power(p, 2)
     return product
 

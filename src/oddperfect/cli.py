@@ -44,16 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(args, records: list[dict], summary: dict, text_lines: list[str]) -> None:
-    """Write either the jsonl contract or the human-readable text form."""
-    if args.format == "jsonl":
-        sys.stdout.write(jsonl(records, summary))
-    else:
-        for line in text_lines:
-            print(line)
-        print(f"config: {summary['config_hash']}")
-
-
 def _checkpoint_path(raw: str | None) -> str | None:
     if raw is None:
         return None
@@ -63,7 +53,10 @@ def _checkpoint_path(raw: str | None) -> str | None:
     return raw
 
 
-def _cmd_search(args) -> int:
+# Each _cmd_* returns (params, records, summary, text, violations): the config
+# to hash, the JSONL records and summary, the text lines, and one line per
+# theorem violation.  run alone hashes, emits and judges them.
+def _cmd_search(args):
     cfg = SearchConfig(
         equation=Equation(args.equation),
         q_min=args.q_min,
@@ -85,70 +78,48 @@ def _cmd_search(args) -> int:
         f"scanned_primes={summary['scanned_primes']} "
         f"skipped_even_alpha={summary['skipped_even_alpha']} hits={summary['hits']}"
     )
-    _emit(args, [r.as_dict() for r in report.records], summary, text)
-    forbidden = [
-        r
+    violations = [
+        f"{r.equation.value} hit at q={r.q} alpha={r.alpha} n={r.n} with q = 1 mod 4"
         for r in report.records
         if r.q % 4 == 1
         and (r.alpha > 1 if r.equation is Equation.TWO_N_SQUARED else True)
     ]
-    if forbidden:
-        for r in forbidden:
-            print(
-                f"theorem violation: {r.equation.value} hit at q={r.q} "
-                f"alpha={r.alpha} n={r.n} with q = 1 mod 4",
-                file=sys.stderr,
-            )
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return cfg.identity(), [r.as_dict() for r in report.records], summary, text, violations
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     report = two_adic_certificate(args.q, args.alpha)
     params = {"command": "certify", "q": args.q, "alpha": args.alpha}
-    summary = {"passed": report.passed, "config_hash": digest(params)}
     text = [f"q={report.q} alpha={report.alpha}"]
     text += [f"summand i={i} v2={v2}" for i, v2 in report.summands]
     text.append(f"v2(S)={report.v2_total} passed={report.passed}")
-    _emit(args, [report.as_dict()], summary, text)
-    return EXIT_OK
+    return params, [report.as_dict()], {"passed": report.passed}, text, []
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     modes = (args.n is not None) + args.dhp_scan + args.multiperfect
     if modes != 1:
         raise ValueError("exactly one of --n, --dhp-scan, --multiperfect is required")
     if args.n is not None:
         if args.limit is not None:
             raise ValueError("--limit only applies to --dhp-scan / --multiperfect")
-        report = classify_report(args.n)
-        params = {"command": "classify", "n": args.n}
-        d = report.as_dict()
+        d = classify_report(args.n).as_dict()
         keys = ("n", "sigma", "k", "euler_form", "dhp", "chenluo", "primality")
         text = [f"{key}={d[key]}" for key in keys if key in d]
-        _emit(args, [d], {"config_hash": digest(params)}, text)
-        return EXIT_OK
+        return {"command": "classify", "n": args.n}, [d], {}, text, []
     if args.limit is None:
         raise ValueError("--dhp-scan / --multiperfect require --limit")
     if args.dhp_scan:
         hits = dhp_scan(args.limit)
         params = {"command": "classify", "dhp_scan": args.limit}
-        summary = {"hits": len(hits), "config_hash": digest(params)}
-        _emit(args, [{"n": n} for n in hits], summary, [canonical_json(hits)])
-        return EXIT_OK
+        return params, [{"n": n} for n in hits], {"hits": len(hits)}, [canonical_json(hits)], []
     pairs = enumerate_multiperfect(args.limit)
     params = {"command": "classify", "multiperfect": args.limit}
-    summary = {"hits": len(pairs), "config_hash": digest(params)}
-    _emit(
-        args,
-        [{"n": n, "k": k} for n, k in pairs],
-        summary,
-        [canonical_json([list(p) for p in pairs])],
-    )
-    return EXIT_OK
+    records = [{"n": n, "k": k} for n, k in pairs]
+    return params, records, {"hits": len(pairs)}, [canonical_json(pairs)], []
 
 
-def _cmd_identity(args) -> int:
+def _cmd_identity(args):
     counts = identity_sweep(args.m_max, args.q_max, args.ratio_m_max)
     params = {
         "command": "identity",
@@ -159,21 +130,16 @@ def _cmd_identity(args) -> int:
     checked = sum(c for c, _ in counts.values())
     failed = sum(f for _, f in counts.values())
     records = [{"check": name, "checked": c, "failed": f} for name, (c, f) in counts.items()]
-    summary = {"checked": checked, "failed": failed, "config_hash": digest(params)}
     text = [f"{name}: {c} pairs checked, {f} failed" for name, (c, f) in counts.items()]
-    _emit(args, records, summary, text)
-    if failed:
-        print("theorem violation: algebraic identity failed", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    violations = ["algebraic identity failed"] if failed else []
+    return params, records, {"checked": checked, "failed": failed}, text, violations
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     value = omega_bound_product(args.count)
     params = {"command": "bound", "count": args.count}
-    summary = {"value": value, "config_hash": digest(params)}
-    _emit(args, [{"count": args.count, "value": value}], summary, [str(value)])
-    return EXIT_OK
+    # the int itself, not str(value): run prints it with the digit limit lifted
+    return params, [{"count": args.count, "value": value}], {"value": value}, [value], []
 
 
 def _build_parser() -> _Parser:
@@ -242,7 +208,25 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        params, records, summary, text, violations = args.func(args)
+        summary["config_hash"] = digest(params)
+        # The int/str digit limit guards parsing outside text (argv, a
+        # checkpoint), all read by now; the ints printed here were computed,
+        # and bound --count 1000 prints 6819 digits.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if args.format == "jsonl":
+                sys.stdout.write(jsonl(records, summary))
+            else:
+                for line in text:
+                    print(line)
+                print(f"config: {summary['config_hash']}")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        for line in violations:
+            print(f"theorem violation: {line}", file=sys.stderr)
+        return EXIT_VIOLATION if violations else EXIT_OK
     except ConsistencyError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -8,10 +8,11 @@ that delivers the final contradiction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .arith import _vp_int, binomial, is_prime, primality_is_proven, primes_upto
+from .arith import _vp_int, is_prime, primality_is_proven, primes_upto
 from .errors import ConsistencyError
 
 UnitSign = Literal[1, -1]
@@ -134,7 +135,7 @@ def trace_expansion(m: int, d: int) -> int:
         raise ValueError(f"m must be positive, got {m}")
     total = 1
     for i in range(1, m // 2 + 1):
-        total += binomial(m, 2 * i) * d**i
+        total += math.comb(m, 2 * i) * d**i
     return 2 * total
 
 
@@ -147,7 +148,7 @@ def ratio_identity_check(m: int, i: int) -> bool:
     """
     if m < 4 or i < 2 or 2 * i > m:
         raise ValueError(f"need m >= 4, i >= 2, 2i <= m; got m={m}, i={i}")
-    return binomial(m, 2 * i) * i * (2 * i - 1) == binomial(m - 2, 2 * i - 2) * binomial(m, 2)
+    return math.comb(m, 2 * i) * i * (2 * i - 1) == math.comb(m - 2, 2 * i - 2) * math.comb(m, 2)
 
 
 def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[int, int]]:

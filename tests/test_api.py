@@ -20,7 +20,7 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
                  "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND",
-                 "SHARD_PRIMES"):
+                 "SHARD_PRIMES", "binomial"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     assert not hasattr(oddperfect.search, "CheckpointState")

@@ -18,7 +18,6 @@ from oddperfect import arith
 from oddperfect.arith import (
     DETERMINISTIC_PRIME_BOUND,
     Factorization,
-    binomial,
     factorize,
     is_prime,
     isqrt_exact,
@@ -34,7 +33,6 @@ from oddperfect.errors import FactorBoundError
 from _oracles import (
     factor_trial,
     is_prime_trial,
-    pascal_binomial,
     primes_in,
     sigma_divisor_sum,
     square_root_scan,
@@ -370,25 +368,6 @@ class TestVp:
     )
     def test_valuation_is_additive(self, x, y):
         assert vp(2, x * y) == vp(2, x) + vp(2, y)
-
-
-class TestBinomial:
-    def test_spec_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(10, 4) == 210
-        assert binomial(3, 9) == 0
-
-    def test_matches_pascal_recurrence(self):
-        for n in range(25):
-            for k in range(30):
-                assert binomial(n, k) == pascal_binomial(n, k), (n, k)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(3, -2)
 
 
 class TestGcd:

@@ -21,7 +21,7 @@ from oddperfect.classify import (
     sigma_table,
 )
 from oddperfect.search import canonical_json
-from _oracles import sigma_divisor_sum, v2_int
+from _oracles import factor_trial, sigma_divisor_sum, v2_int
 
 
 class TestAbundancy:
@@ -121,6 +121,23 @@ class TestDhpDecompose:
         for p in (2, 3, 5, 7, 13):
             n = 2 ** (p - 1) * (2**p - 1)
             assert dhp_decompose(n) is not None, n
+
+    def test_matches_divisor_sum_brute_force(self):
+        limit = 20_000
+        sig = [0] * (limit + 1)
+        for d in range(1, limit + 1):
+            for k in range(d, limit + 1, d):
+                sig[k] += d
+        for n in range(2, limit + 1):
+            expected = next(
+                (
+                    (n // q**alpha, q, alpha)
+                    for q, alpha in sorted(factor_trial(n).items())
+                    if sig[n // q**alpha] == q**alpha
+                ),
+                None,
+            )
+            assert dhp_decompose(n) == expected, n
 
 
 class TestDhpScan:
@@ -275,6 +292,25 @@ class TestClassifyReport:
             calls.clear()
             classify_report(n)
             assert calls == [n]
+
+    def test_no_primality_tests_beyond_factorize(self, monkeypatch):
+        # the decomposition reads sigma(m) off sigma(n); it proves no prime again
+        is_prime = arith.is_prime
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return is_prime(m)
+
+        factorize(2)  # build the trial-division table outside the count
+        monkeypatch.setattr(arith, "is_prime", counted)
+        for n in (672, 30240, 3**5 * 7 * 11**3):
+            calls.clear()
+            factorize(n)
+            expected = len(calls)
+            calls.clear()
+            classify_report(n)
+            assert len(calls) == expected, n
 
     def test_probable_prime_factor_recorded(self):
         # 2^89 - 1 and 3 * (2^89 - 1) rest on a strong-probable-prime verdict

@@ -1,13 +1,17 @@
 """Tests for the command-line front end and its exit-code contract."""
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import sys
 
 import pytest
 
 from oddperfect import arith, cli
 from oddperfect.errors import ConsistencyError
 from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord, digest
+from _oracles import primes_in
 
 
 def run_lines(capsys, argv):
@@ -312,6 +316,37 @@ class TestBoundCommand:
     def test_out_of_range_count(self, capsys):
         assert cli.run(["bound", "--count", "0"]) == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_largest_count_prints_past_the_digit_limit(self, capsys, fmt):
+        odd_primes = primes_in(3, 7927)
+        assert len(odd_primes) == 1000
+        limit = sys.get_int_max_str_digits()
+        code, lines = run_lines(capsys, ["bound", "--count", "1000", "--format", fmt])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)  # the value has more than 4300 digits
+        try:
+            value = int(lines[0]) if fmt == "text" else json.loads(lines[-1])["value"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert value == math.prod(p * p + p + 1 for p in odd_primes)
+
+    def test_digit_limit_restored_when_output_fails(self, capsys, monkeypatch):
+        class Unwritable:
+            def write(self, data):
+                raise OSError("stdout closed")
+
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            monkeypatch.setattr(sys, "stdout", Unwritable())
+            code = cli.run(["bound", "--count", "1000", "--format", "jsonl"])
+            monkeypatch.undo()
+            assert code == cli.EXIT_IO
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -325,3 +360,122 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+def _forbidden_hits(cfg):
+    # two hits the q = 1 mod 4 theorem rules out, as a broken kernel would report them
+    records = (
+        SolutionRecord(Equation.TWO_N_SQUARED, 13, 3, 99, (9, 11)),
+        SolutionRecord(Equation.TWO_N_SQUARED, 17, 5, 41, (3, 7)),
+    )
+    return SearchReport(cfg, records, 2, 0)
+
+
+def _failed_identity(m_max, q_max, ratio_m_max):
+    return {"trace_expansion": (12, 1), "ratio_identity": (30, 0)}
+
+
+def _raise(exc):
+    def boom(*args):
+        raise exc
+
+    return boom
+
+
+def _tampered_checkpoint(monkeypatch):
+    assert cli.run(_SEARCH_EMPTY + ["--checkpoint", "empty.ckpt"]) == 0
+    with open("empty.ckpt") as fh:
+        payload = json.load(fh)
+    payload["hits"].append([13, 3])
+    del payload["digest"]
+    with open("empty.ckpt", "w") as fh:
+        json.dump({**payload, "digest": digest(payload)}, fh)
+
+
+_SEARCH_EMPTY = ["search", "--equation", "2nsq", "--q-max", "2000", "--q-mod4", "1",
+                 "--alpha-min", "3", "--alpha-max", "11"]
+_NSQ = ["search", "--equation", "nsq", "--q-max", "40000", "--alpha-max", "9"]
+
+# (id, digest of the text run, digest of the --format jsonl run or None, argv,
+# setup).  A digest is the SHA-256 prefix of the JSON list [exit code, stdout,
+# stderr], so every byte the command-line contract promises is pinned.
+GOLDEN = [
+    ("search_readme_alpha1", "93c4a152f4470561", "d2622e3e5bb738a2",
+     ["search", "--equation", "2nsq", "--q-max", "200", "--alpha-max", "1"], None),
+    ("search_empty_q1", "d1ea4569eaa8f8d8", "f35fa695a08000e6", _SEARCH_EMPTY, None),
+    ("search_nsq_jobs1", "53ad62feee12616d", "f2d27a6ced6b755e", _NSQ + ["--jobs", "1"], None),
+    ("search_nsq_jobs2", "53ad62feee12616d", "f2d27a6ced6b755e", _NSQ + ["--jobs", "2"], None),
+    ("search_q_min_above_q_max", "a9f24cb57593e42b", "a9f24cb57593e42b",
+     ["search", "--equation", "nsq", "--q-min", "100", "--q-max", "50"], None),
+    ("certify_pass", "51faa87a6e21bb9e", "fa0d84769f08ce65",
+     ["certify", "--q", "13", "--alpha", "7"], None),
+    ("certify_q3_rejected", "3c160eb8424a06a6", "3c160eb8424a06a6",
+     ["certify", "--q", "7", "--alpha", "3"], None),
+    ("classify_672", "957d171fcc3da98d", "8e1a48672f2226e1", ["classify", "--n", "672"], None),
+    ("classify_probable", "ee29f28510c97a64", "03beace35edb7539",
+     ["classify", "--n", str(2**89 - 1)], None),
+    ("classify_dhp_scan", "20cfc6a6df200047", "fadf4571921e38a4",
+     ["classify", "--dhp-scan", "--limit", "10000"], None),
+    ("classify_multiperfect", "87844add306148f5", "42ec6358cf4f29e9",
+     ["classify", "--multiperfect", "--limit", "1000"], None),
+    ("classify_no_mode", "e04e12cbd9b548d5", None, ["classify"], None),
+    ("classify_two_modes", "e04e12cbd9b548d5", None,
+     ["classify", "--n", "6", "--dhp-scan", "--limit", "5"], None),
+    ("classify_scan_no_limit", "1f5cbaeeb94b2e8f", None, ["classify", "--dhp-scan"], None),
+    ("classify_n_with_limit", "575404a0b35c5be5", None,
+     ["classify", "--n", "6", "--limit", "9"], None),
+    ("identity_pass", "e71191f8ab605fa9", "87b143aa7e49a47d",
+     ["identity", "--m-max", "10", "--q-max", "30", "--ratio-m-max", "20"], None),
+    ("identity_negative", "4e6bd2a530906761", "4e6bd2a530906761",
+     ["identity", "--m-max", "-3"], None),
+    ("bound_8", "456fe4fda84d12a7", "dcdfd4ad350e6ffe", ["bound", "--count", "8"], None),
+    ("bound_0", "a8df9f8e9a75963f", "a8df9f8e9a75963f", ["bound", "--count", "0"], None),
+    ("usage_no_arguments", "b4bf6d19016b66c9", None, [], None),
+    ("usage_unknown_subcommand", "006abd2886645752", None, ["frobnicate"], None),
+    ("usage_unknown_flag", "b8b7f91b7dca2d71", None,
+     ["bound", "--count", "3", "--frobnicate"], None),
+    ("usage_scientific", "52b4406f97c20e84", None,
+     ["search", "--equation", "nsq", "--q-max", "5e4"], None),
+    ("usage_bad_choice", "ff1b3f04f70defd5", None,
+     ["search", "--equation", "nsq", "--q-mod4", "2"], None),
+    ("usage_missing_required", "727f7ede831651f0", None, ["certify", "--q", "13"], None),
+    ("forbidden_hits", "69fdb0614911a2da", "9fca357a809c8c8a", ["search", "--equation", "2nsq"],
+     lambda mp: mp.setattr(cli, "run_search", _forbidden_hits)),
+    ("identity_failure", "5b475172c7add65a", "cb34f7457b2c781a", ["identity"],
+     lambda mp: mp.setattr(cli, "identity_sweep", _failed_identity)),
+    ("consistency_error", "37327fa034e6e3de", None, ["search", "--equation", "2nsq"],
+     lambda mp: mp.setattr(cli, "run_search", _raise(ConsistencyError("injected")))),
+    ("factor_bound_error", "d202ffc2abf38122", None, ["classify", "--n", "1000073001431003663"],
+     lambda mp: mp.setattr(arith, "_RHO_STEPS", 1)),
+    ("checkpoint_unwritable", "cd45a75424ce75f8", None,
+     ["search", "--equation", "nsq", "--q-max", "100", "--alpha-max", "2",
+      "--checkpoint", "missing/x.ckpt"], None),
+    ("checkpoint_forged_hit", "4b90d83084f40e72", None,
+     _SEARCH_EMPTY + ["--checkpoint", "empty.ckpt"], _tampered_checkpoint),
+    ("interrupt", "3b4e336dcad59fd4", None, ["search", "--equation", "nsq"],
+     lambda mp: mp.setattr(cli, "run_search", _raise(KeyboardInterrupt))),
+    ("interrupt_checkpoint", "144d54be26991a0e", None,
+     ["search", "--equation", "nsq", "--checkpoint", "scan.ckpt"],
+     lambda mp: mp.setattr(cli, "run_search", _raise(KeyboardInterrupt))),
+]
+
+
+def _golden_cases():
+    for name, text, jsonl, argv, setup in GOLDEN:
+        yield pytest.param(argv, setup, text, id=name)
+        if jsonl is not None:
+            yield pytest.param(argv + ["--format", "jsonl"], setup, jsonl, id=name + "+jsonl")
+
+
+@pytest.mark.parametrize("argv, setup, expected", _golden_cases())
+def test_golden_output(capsys, monkeypatch, tmp_path, argv, setup, expected):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    monkeypatch.delenv(cli.CHECKPOINT_DIR_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)  # checkpoint names in messages stay relative
+    if setup is not None:
+        setup(monkeypatch)
+    capsys.readouterr()
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    got = hashlib.sha256(json.dumps([code, captured.out, captured.err]).encode()).hexdigest()[:16]
+    assert got == expected
