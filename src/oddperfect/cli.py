@@ -14,7 +14,6 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .classify import (
@@ -33,8 +32,6 @@ EXIT_VIOLATION = 2
 EXIT_IO = 3
 EXIT_INTERRUPTED = 130
 
-CHECKPOINT_DIR_ENV = "ODDPERFECT_CHECKPOINT_DIR"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage errors, per the CLI contract."""
@@ -42,15 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _checkpoint_path(raw: str | None) -> str | None:
-    if raw is None:
-        return None
-    base = os.environ.get(CHECKPOINT_DIR_ENV)
-    if base and not os.path.isabs(raw) and os.sep not in raw:
-        return os.path.join(base, raw)
-    return raw
 
 
 # Each _cmd_* returns (params, records, summary, text, violations): the config
@@ -65,7 +53,7 @@ def _cmd_search(args):
         alpha_max=args.alpha_max,
         residue_filter=args.q_mod4,
         worker_count=args.jobs,
-        checkpoint_path=_checkpoint_path(args.checkpoint),
+        checkpoint_path=args.checkpoint,
     )
     report = run_search(cfg)
     text = [
@@ -104,8 +92,8 @@ def _cmd_classify(args):
         if args.limit is not None:
             raise ValueError("--limit only applies to --dhp-scan / --multiperfect")
         d = classify_report(args.n).as_dict()
-        keys = ("n", "sigma", "k", "euler_form", "dhp", "chenluo", "primality")
-        text = [f"{key}={d[key]}" for key in keys if key in d]
+        # lazy: run formats each line with the digit limit lifted, as sigma can pass it
+        text = (f"{key}={value}" for key, value in d.items())
         return {"command": "classify", "n": args.n}, [d], {}, text, []
     if args.limit is None:
         raise ValueError("--dhp-scan / --multiperfect require --limit")
@@ -161,8 +149,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q-mod4", type=int, choices=(1, 3), default=None,
                    help="restrict q to this residue mod 4")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--checkpoint", default=None,
-                   help=f"checkpoint file; bare names resolve under ${CHECKPOINT_DIR_ENV}")
+    p.add_argument("--checkpoint", default=None, help="checkpoint file")
     common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -237,7 +224,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
-        checkpoint = _checkpoint_path(getattr(args, "checkpoint", None))
+        checkpoint = getattr(args, "checkpoint", None)
         resume = f"; rerun to resume from checkpoint {checkpoint}" if checkpoint else ""
         print(f"interrupted{resume}", file=sys.stderr)
         return EXIT_INTERRUPTED

@@ -59,8 +59,8 @@ def _residue_tables(k: int) -> tuple[np.ndarray, ...]:
 
 #: sigma(q^alpha) is k*n^2 only if it is one of these residues mod every m.
 _RESIDUE_TABLES = {
-    Equation.TWO_N_SQUARED.value: _residue_tables(2),
-    Equation.N_SQUARED.value: _residue_tables(1),
+    Equation.TWO_N_SQUARED: _residue_tables(2),
+    Equation.N_SQUARED: _residue_tables(1),
 }
 
 
@@ -198,17 +198,20 @@ def split_solution(q: int, alpha: int, n: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _solution(two_nsq: bool, q: int, alpha: int) -> tuple | None:
-    """The hit (q, alpha, n, split) when sigma(q^alpha) is 2n^2 (two_nsq) or n^2."""
+def _solution(equation: Equation, q: int, alpha: int) -> SolutionRecord | None:
+    """The record of (q, alpha) when sigma(q^alpha) solves equation, else None."""
     sigma = sigma_prime_power(q, alpha)
-    if not two_nsq:
+    # the str value: an Enum class attribute is slow on CPython 3.11, and this runs per pair
+    if equation == "nsq":
         n = isqrt_exact(sigma)
-        return None if n is None else (q, alpha, n, None)
+        return None if n is None else SolutionRecord(equation, q, alpha, n)
     if sigma % 2:
         # odd for every even alpha and for q = 2: never 2n^2
         return None
     n = isqrt_exact(sigma // 2)
-    return None if n is None else (q, alpha, n, split_solution(q, alpha, n))
+    if n is None:
+        return None
+    return SolutionRecord(equation, q, alpha, n, split_solution(q, alpha, n))
 
 
 def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
@@ -217,36 +220,33 @@ def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
     return primes if residue_filter is None else primes[primes % 4 == residue_filter]
 
 
-def _scan_shard(args: tuple[int, int, str, int | None, int, int]) -> tuple[int, list[tuple]]:
-    """Scan the eligible primes of one q-interval; runs in a worker process.
+def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
+    """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi).
 
-    Only the (q, alpha) whose sigma mod M passes every residue table get the
-    exact sigma and square test.  Returns how many primes it scanned and its hits in (q, alpha) order, as
-    plain tuples rather than SolutionRecords to keep the pickled payload
-    small.
+    Runs in a worker process.  Only the (q, alpha) whose sigma mod M passes
+    every residue table get the exact sigma and square test.
     """
-    lo, hi, equation_value, residue_filter, alpha_min, alpha_max = args
-    primes = _eligible(lo, hi, residue_filter)
-    tables = _RESIDUE_TABLES[equation_value]
-    two_nsq = equation_value == Equation.TWO_N_SQUARED.value
+    cfg, lo, hi = args
+    primes = _eligible(lo, hi, cfg.residue_filter)
+    tables = _RESIDUE_TABLES[cfg.equation]
     base = primes % _RESIDUE_MODULUS
     power = np.ones_like(base)
     sigma = np.ones_like(base)
-    hits: list[tuple] = []
-    for alpha in range(1, alpha_max + 1):
+    records: list[SolutionRecord] = []
+    for alpha in range(1, cfg.alpha_max + 1):
         power = power * base % _RESIDUE_MODULUS
         sigma = (sigma + power) % _RESIDUE_MODULUS
-        if alpha < alpha_min:
+        if alpha < cfg.alpha_min:
             continue
         passed = np.logical_and.reduce(
             [table[sigma % m] for m, table in zip(_RESIDUE_MODULI, tables)]
         )
         for q in primes[passed].tolist():
-            hit = _solution(two_nsq, q, alpha)
-            if hit is not None:
-                hits.append(hit)
-    hits.sort(key=lambda hit: hit[:2])
-    return len(primes), hits
+            record = _solution(cfg.equation, q, alpha)
+            if record is not None:
+                records.append(record)
+    records.sort(key=lambda r: (r.q, r.alpha))
+    return len(primes), records
 
 
 def _intervals(lo: int, hi: int):
@@ -272,7 +272,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
             len(_eligible(lo, hi, cfg.residue_filter)) for lo, hi in _intervals(cfg.q_min, done)
         )
     for done, count, hits in _shard_results(cfg, done + 1):
-        records += [SolutionRecord(cfg.equation, *hit) for hit in hits]
+        records += hits
         scanned += count
         if cfg.checkpoint_path is not None:
             checkpoint_save(cfg, done, records)
@@ -286,17 +286,14 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 
 
 def _shard_results(cfg: SearchConfig, lo: int):
-    """(last q, primes scanned, hits) of each shard of [lo, q_max], in order."""
-    payloads = (
-        (a, b, cfg.equation.value, cfg.residue_filter, cfg.alpha_min, cfg.alpha_max)
-        for a, b in _intervals(lo, cfg.q_max)
-    )
+    """(last q, primes scanned, records) of each shard of [lo, q_max], in order."""
+    payloads = ((cfg, a, b) for a, b in _intervals(lo, cfg.q_max))
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
     # a pool starts all its workers at once: never more than there is work or CPUs
     workers = min(cfg.worker_count, shards, os.cpu_count() or 1)
     if workers <= 1:
         for payload in payloads:
-            yield payload[1], *_scan_shard(payload)
+            yield payload[2], *_scan_shard(payload)
         return
     # workers ignore Ctrl-C, so only this process handles it
     pool = ProcessPoolExecutor(
@@ -307,7 +304,7 @@ def _shard_results(cfg: SearchConfig, lo: int):
         # submission order, so merge order is fixed, and memory stays bounded
         pending = collections.deque()
         for payload in payloads:
-            pending.append((payload[1], pool.submit(_scan_shard, payload)))
+            pending.append((payload[2], pool.submit(_scan_shard, payload)))
             if len(pending) == 2 * workers:
                 last, future = pending.popleft()
                 yield last, *future.result()
@@ -386,11 +383,11 @@ def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
                 # the rescan alone would accept a composite q: sigma(8) = 3^2
                 and is_prime(q)
             )
-        again = _solution(cfg.equation is Equation.TWO_N_SQUARED, q, alpha) if ok else None
+        again = _solution(cfg.equation, q, alpha) if ok else None
         if again is None:
             raise CheckpointError(
                 f"checkpoint {path} holds a hit this search does not find: "
                 f"{canonical_json(pair)}"
             )
-        records.append(SolutionRecord(cfg.equation, *again))
+        records.append(again)
     return done, records

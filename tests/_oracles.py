@@ -174,13 +174,11 @@ def search_solutions(
 
 
 def scan_shard_isqrt(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
-    """Scan one block of primes; runs in a worker process.
+    """The hits (q, alpha, n, split) for args = (primes, equation value,
+    alpha_min, alpha_max), in the order of the primes, then of alpha.
 
-    Returns plain tuples rather than SolutionRecords to keep the pickled
-    payload small.
-
-    (The search kernel before its residue sieve, kept verbatim: an exact
-    sigma and square test for every (q, alpha).)
+    The search kernel before its residue sieve: an exact sigma and square
+    test for every (q, alpha).
     """
     from oddperfect.arith import isqrt_exact
     from oddperfect.search import Equation, split_solution

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import oddperfect
 import oddperfect.arith
+import oddperfect.cli
 import oddperfect.search
 
 
@@ -26,6 +31,8 @@ def test_removed_names_are_gone():
     assert not hasattr(oddperfect.search, "CheckpointState")
     assert not hasattr(oddperfect.search, "SHARD_PRIMES")
     assert not hasattr(oddperfect.arith, "FACTOR_BOUND")
+    for name in ("CHECKPOINT_DIR_ENV", "_checkpoint_path"):
+        assert not hasattr(oddperfect.cli, name), name
 
 
 def test_checkpoint_functions_are_search_internals():
@@ -44,3 +51,21 @@ def test_size_parameters_are_constants():
     # criterion 10 interrupts the third of at least three shards at q <= 50 000
     assert type(oddperfect.search.SHARD_WIDTH) is int
     assert 0 < oddperfect.search.SHARD_WIDTH <= 16_666
+
+
+def test_oracles_load_without_the_package():
+    # perfbench/refs.py loads _oracles.py by path before the set-up probe times
+    # `import oddperfect`: a module-level import there would move it out of setup_s
+    oracles = Path(__file__).resolve().parent / "_oracles.py"
+    src = Path(oddperfect.__file__).resolve().parent.parent
+    script = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('_oracles', {str(oracles)!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print('oddperfect' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -66,8 +66,12 @@ class TestSearchCommand:
         assert code1 == code2 == 0
         assert lines1 == lines2
 
-    def test_checkpoint_env_dir(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv(cli.CHECKPOINT_DIR_ENV, str(tmp_path))
+    def test_checkpoint_name_ignores_environment(self, capsys, monkeypatch, tmp_path):
+        # no environment variable redirects a bare name: --checkpoint alone names the file
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("ODDPERFECT_CHECKPOINT_DIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
         code, _ = run_lines(
             capsys,
             ["search", "--equation", "nsq", "--q-max", "300", "--alpha-max", "4",
@@ -75,6 +79,7 @@ class TestSearchCommand:
         )
         assert code == 0
         assert (tmp_path / "demo.ckpt").exists()
+        assert list(elsewhere.iterdir()) == []
 
     def test_unwritable_checkpoint_exits_three(self, capsys, tmp_path):
         code = cli.run(
@@ -148,7 +153,6 @@ class TestSearchCommand:
         def interrupted(cfg):
             raise KeyboardInterrupt
 
-        monkeypatch.delenv(cli.CHECKPOINT_DIR_ENV, raising=False)
         monkeypatch.setattr(cli, "run_search", interrupted)
         argv = ["search", "--equation", "nsq"]
         if checkpoint:
@@ -259,6 +263,23 @@ class TestClassifyCommand:
         assert json.loads(lines[0])["primality"] == "probable"
         _, lines = run_lines(capsys, argv)
         assert "primality=probable" in lines
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_fields_print_past_the_digit_limit(self, capsys, fmt):
+        # n = 2^14284 has 4300 digits, within the limit; sigma(n) = 2^14285 - 1 has 4301
+        limit = sys.get_int_max_str_digits()
+        code, lines = run_lines(capsys, ["classify", "--n", str(2**14284), "--format", fmt])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            if fmt == "text":
+                sigma = int(next(line for line in lines if line.startswith("sigma="))[6:])
+            else:
+                sigma = json.loads(lines[0])["sigma"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sigma == 2**14285 - 1
 
     def test_n_beyond_trial_bound_is_classified(self, capsys):
         # 1000003 * 1000033 * 1000037: no factor below the trial bound
@@ -392,8 +413,14 @@ def _tampered_checkpoint(monkeypatch):
         json.dump({**payload, "digest": digest(payload)}, fh)
 
 
+def _finished_checkpoint(monkeypatch):
+    assert cli.run(_SEARCH_HITS) == 0
+
+
 _SEARCH_EMPTY = ["search", "--equation", "2nsq", "--q-max", "2000", "--q-mod4", "1",
                  "--alpha-min", "3", "--alpha-max", "11"]
+_SEARCH_HITS = ["search", "--equation", "2nsq", "--q-max", "2000", "--alpha-max", "9",
+                "--checkpoint", "hits.ckpt"]
 _NSQ = ["search", "--equation", "nsq", "--q-max", "40000", "--alpha-max", "9"]
 
 # (id, digest of the text run, digest of the --format jsonl run or None, argv,
@@ -405,6 +432,11 @@ GOLDEN = [
     ("search_empty_q1", "d1ea4569eaa8f8d8", "f35fa695a08000e6", _SEARCH_EMPTY, None),
     ("search_nsq_jobs1", "53ad62feee12616d", "f2d27a6ced6b755e", _NSQ + ["--jobs", "1"], None),
     ("search_nsq_jobs2", "53ad62feee12616d", "f2d27a6ced6b755e", _NSQ + ["--jobs", "2"], None),
+    ("search_nsq_jobs8", "53ad62feee12616d", "f2d27a6ced6b755e", _NSQ + ["--jobs", "8"], None),
+    # the 2nsq hit q = 2*7076^2 - 1, split as n1 = 1, n2 = 7076
+    ("search_split_hit", "fe028a465dfc242b", "c9bd6976ffb3980f",
+     ["search", "--equation", "2nsq", "--q-min", "100139551", "--q-max", "100139600",
+      "--alpha-max", "101"], None),
     ("search_q_min_above_q_max", "a9f24cb57593e42b", "a9f24cb57593e42b",
      ["search", "--equation", "nsq", "--q-min", "100", "--q-max", "50"], None),
     ("certify_pass", "51faa87a6e21bb9e", "fa0d84769f08ce65",
@@ -452,6 +484,9 @@ GOLDEN = [
       "--checkpoint", "missing/x.ckpt"], None),
     ("checkpoint_forged_hit", "4b90d83084f40e72", None,
      _SEARCH_EMPTY + ["--checkpoint", "empty.ckpt"], _tampered_checkpoint),
+    # resumed from its own finished checkpoint: the hits are rebuilt by rescanning
+    ("checkpoint_resumed", "319fa3500fea75c5", "ae838416cd3989b2", _SEARCH_HITS,
+     _finished_checkpoint),
     ("interrupt", "3b4e336dcad59fd4", None, ["search", "--equation", "nsq"],
      lambda mp: mp.setattr(cli, "run_search", _raise(KeyboardInterrupt))),
     ("interrupt_checkpoint", "144d54be26991a0e", None,
@@ -470,7 +505,6 @@ def _golden_cases():
 @pytest.mark.parametrize("argv, setup, expected", _golden_cases())
 def test_golden_output(capsys, monkeypatch, tmp_path, argv, setup, expected):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
-    monkeypatch.delenv(cli.CHECKPOINT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)  # checkpoint names in messages stay relative
     if setup is not None:
         setup(monkeypatch)

@@ -188,9 +188,9 @@ class TestKernelAgainstOracle:
                            alpha_max=101)
         real, tested = oddperfect.search._solution, []
 
-        def solution(two_nsq, q, alpha):
+        def solution(equation, q, alpha):
             tested.append((q, alpha))
-            return real(two_nsq, q, alpha)
+            return real(equation, q, alpha)
 
         monkeypatch.setattr(oddperfect.search, "_solution", solution)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
