@@ -16,7 +16,6 @@ from .arith import (
     primes_upto,
     sigma,
     sigma_prime_power,
-    vp,
 )
 from .classify import (
     ChenLuoRecord,

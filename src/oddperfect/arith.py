@@ -1,15 +1,13 @@
-"""Exact integer and rational arithmetic primitives.
+"""Exact integer arithmetic primitives.
 
-Everything here is exact and deterministic: Python ints for naturals (int64
-arrays for the prime sieve), ``fractions.Fraction`` for exact rationals.  No
-floating point.
+Everything here is exact and deterministic: Python ints, and int64 arrays
+for the prime sieve.  No floating point.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -319,33 +317,12 @@ def isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def vp(p: int, x: int | Fraction) -> int:
-    """p-adic valuation of a nonzero integer or rational.
+def v2(n: int) -> int:
+    """2-adic valuation of a nonzero integer: the exponent of 2 in n.
 
-    For rationals this is vp(numerator) - vp(denominator); a valuation of 0
-    means x is a p-adic unit.
-
-    >>> vp(2, 12)
+    >>> v2(-12)
     2
-    >>> vp(2, Fraction(3, 8))
-    -3
     """
-    if not is_prime(p):
-        raise ValueError(f"valuation base must be prime, got {p}")
-    if x == 0:
-        raise ValueError("valuation of 0 is +infinity")
-    if isinstance(x, Fraction):
-        return _vp_int(p, x.numerator) - _vp_int(p, x.denominator)
-    return _vp_int(p, int(x))
-
-
-def _vp_int(p: int, n: int) -> int:
-    n = abs(n)
-    if p == 2:
-        return (n & -n).bit_length() - 1
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
+    if n == 0:
+        raise ValueError("v2 of 0 is +infinity")
+    return (n & -n).bit_length() - 1

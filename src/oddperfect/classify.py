@@ -14,13 +14,13 @@ import numpy as np
 
 from .arith import (
     Factorization,
-    _vp_int,
     factorize,
     isqrt_exact,
     primality_is_proven,
     primes_upto,
     sigma,
     sigma_prime_power,
+    v2,
 )
 from .errors import ConsistencyError
 
@@ -205,11 +205,11 @@ def chenluo_check(n: int) -> ChenLuoRecord:
 
 def _chenluo_check(n: int, f: Factorization) -> ChenLuoRecord:
     terms = tuple(
-        (p, e, _vp_int(2, p + 1) - 1, _vp_int(2, e + 1) - 1) for p, e in f if e % 2
+        (p, e, v2(p + 1) - 1, v2(e + 1) - 1) for p, e in f if e % 2
     )
     s = len(terms)
     budget = s + sum(a for _, _, a, _ in terms) + sum(b for _, _, _, b in terms)
-    direct = _vp_int(2, sigma(f))
+    direct = v2(sigma(f))
     if budget != direct:
         raise ConsistencyError(
             f"valuation ledger {budget} != direct v2(sigma({n})) = {direct}"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .arith import _vp_int, is_prime, primality_is_proven, primes_upto
+from .arith import is_prime, primality_is_proven, primes_upto, v2
 from .errors import ConsistencyError
 
 UnitSign = Literal[1, -1]
@@ -205,7 +205,7 @@ class CertificateReport:
         data = {
             "q": self.q,
             "alpha": self.alpha,
-            "summands": [{"i": i, "v2": v2} for i, v2 in self.summands],
+            "summands": [{"i": i, "v2": v} for i, v in self.summands],
             "v2_total": self.v2_total,
             "passed": self.passed,
         }
@@ -233,18 +233,18 @@ def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
         raise ValueError(f"q must be 1 mod 4, got {q} = {q % 4} mod 4")
     if alpha % 2 == 0 or alpha < 3:
         raise ValueError(f"alpha must be odd and >= 3, got {alpha}")
-    t = _vp_int(2, q - 1)
+    t = v2(q - 1)
     m = (alpha - 3) // 2
     s2m = m.bit_count()
     summands = [
         (i, (2 * i - 2).bit_count() + (m - 2 * i + 2).bit_count() - s2m
-            + (i - 1) * t - _vp_int(2, i))
+            + (i - 1) * t - v2(i))
         for i in range(2, (alpha + 1) // 4 + 1)
     ]
     # The carry count is >= 0 and t >= 2, so summand i has valuation at least
     # 2(i-1) - log2(i) >= 1 for i >= 2.  Every summand is then divisible by 2
     # while the leading 1 is not: v2(S) = 0 by the ultrametric inequality,
     # hence S != 0.  A summand below 1 would contradict t >= 2.
-    if any(v2 < 1 for _, v2 in summands):
+    if any(v < 1 for _, v in summands):
         raise ConsistencyError(f"a summand valuation is below 1 at q={q} alpha={alpha}")
     return CertificateReport(q, alpha, tuple(summands), v2_total=0, passed=True)

@@ -76,6 +76,8 @@ class SearchConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.equation, Equation):
+            raise ValueError(f"equation must be an Equation member, got {self.equation!r}")
         if self.q_min > self.q_max:
             raise ValueError(f"q_min {self.q_min} > q_max {self.q_max}")
         if self.alpha_min < 1:
@@ -344,7 +346,9 @@ def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
     lists each hit as a pair of ints, with q a prime in [q_min, cursor] that
     the residue filter admits and alpha in range, in strictly ascending
     order, that rescanning finds again.  The records returned are those
-    rescans.
+    rescans.  The rescan refuses a forged hit but cannot see an omitted one
+    (a hit deleted and the digest re-sealed), so only a run started without
+    a checkpoint backs a claim that a range is empty.
     """
     path = cfg.checkpoint_path
     try:

@@ -1,6 +1,7 @@
 """Tests for the package's public namespace."""
 from __future__ import annotations
 
+import ast
 import inspect
 import os
 import subprocess
@@ -25,12 +26,13 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
                  "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND",
-                 "SHARD_PRIMES", "binomial"):
+                 "SHARD_PRIMES", "binomial", "vp"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     assert not hasattr(oddperfect.search, "CheckpointState")
     assert not hasattr(oddperfect.search, "SHARD_PRIMES")
-    assert not hasattr(oddperfect.arith, "FACTOR_BOUND")
+    for name in ("FACTOR_BOUND", "vp", "_vp_int"):
+        assert not hasattr(oddperfect.arith, name), name
     for name in ("CHECKPOINT_DIR_ENV", "_checkpoint_path"):
         assert not hasattr(oddperfect.cli, name), name
 
@@ -69,3 +71,17 @@ def test_oracles_load_without_the_package():
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+def test_modules_import_no_private_names():
+    # a fast path shared across modules is public in the module that owns it
+    package = Path(oddperfect.__file__).resolve().parent
+    found = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

@@ -251,7 +251,7 @@ class TestTwoAdicCertificate:
 
     def test_low_summand_raises(self, monkeypatch):
         # with v2 forced to 0, q=5 alpha=7 has the single summand C(2,2) of v2 0
-        monkeypatch.setattr(oddperfect.quadratic, "_vp_int", lambda p, n: 0)
+        monkeypatch.setattr(oddperfect.quadratic, "v2", lambda n: 0)
         with pytest.raises(ConsistencyError):
             two_adic_certificate(5, 7)
 

@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             two_nsq(worker_count=0)
 
+    @pytest.mark.parametrize("equation", ["nsq", "cube"])
+    def test_equation_must_be_a_member(self, equation):
+        # a bare string would otherwise fail only after the scan
+        with pytest.raises(ValueError, match="Equation member"):
+            SearchConfig(equation, q_max=100)
+
     def test_hash_ignores_execution_knobs(self):
         a = nsq(q_max=100, worker_count=8, checkpoint_path="/anywhere")
         b = nsq(q_max=100)
