@@ -14,13 +14,16 @@ import numpy as np
 from .errors import FactorBoundError
 
 # Strong-pseudoprime witness ladder: (limit, witnesses) means the witness set
-# is a proven deterministic test for every n below the limit.
+# is a proven deterministic test for every n below the limit.  Up to
+# 341 550 071 728 321 the rungs come from C. Pomerance, J. L. Selfridge and
+# S. S. Wagstaff, Math. Comp. 35 (1980), and G. Jaeschke, Math. Comp. 61
+# (1993); the higher ones are later results.  No rung uses more witnesses
+# than the one above it.
 _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
     (2_047, (2,)),
     (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
     (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
@@ -52,6 +55,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1 << 16
 #: Primes per trial block: one gcd with their product tests them all at once.
 _TRIAL_BLOCK = 32
+#: Blocks per trial group: one gcd of the cofactor with the group's product
+#: tests its 256 primes; only a group that shares a factor with it is split
+#: into blocks, and then against that small shared factor.
+_TRIAL_GROUP = 8
 #: Pollard-Brent rho gives up on a polynomial x^2 + k once its cycle length
 #: would pass this cap (at most about 4 * _RHO_STEPS squarings per k).
 _RHO_STEPS = 1 << 18
@@ -138,9 +145,11 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
 class Factorization:
     """A positive integer as an ordered product of prime powers.
 
-    Primes are strictly ascending, exponents positive; every prime is
-    re-checked at construction so a Factorization can be trusted blindly.
-    The empty factorization is 1.
+    Primes are strictly ascending, exponents positive; the public constructor
+    checks both and proves every prime with ``is_prime``, so a Factorization
+    can be trusted blindly.  ``factorize`` proves each prime as it finds it
+    and builds its result without the second check.  The empty factorization
+    is 1.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -170,38 +179,54 @@ class Factorization:
         return len(self.factors)
 
 
-@functools.cache
-def _trial_blocks() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """(least prime squared, product, primes) per block of the trial primes.
+def _proven(factors: list[tuple[int, int]]) -> Factorization:
+    """A Factorization of ascending prime powers whose primes are proven."""
+    f = object.__new__(Factorization)
+    object.__setattr__(f, "factors", tuple(factors))
+    return f
 
-    Built on the first factorize call, not at import.
+
+@functools.cache
+def _trial_blocks() -> tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
+    """The trial primes as groups of _TRIAL_GROUP blocks of _TRIAL_BLOCK.
+
+    Each group is (least prime squared, product, blocks) and each block
+    (product, primes).  Built on the first factorize call, not at import.
     """
     primes = primes_upto(_TRIAL_BOUND - 1)
-    blocks = (
-        tuple(primes[i : i + _TRIAL_BLOCK]) for i in range(0, len(primes), _TRIAL_BLOCK)
+    blocks = [
+        (math.prod(primes[i : i + _TRIAL_BLOCK]), tuple(primes[i : i + _TRIAL_BLOCK]))
+        for i in range(0, len(primes), _TRIAL_BLOCK)
+    ]
+    groups = (blocks[i : i + _TRIAL_GROUP] for i in range(0, len(blocks), _TRIAL_GROUP))
+    return tuple(
+        (group[0][1][0] ** 2, math.prod(product for product, _ in group), tuple(group))
+        for group in groups
     )
-    return tuple((block[0] ** 2, math.prod(block), block) for block in blocks)
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1: block trial division, then Pollard-Brent rho.
+    """Factor n >= 1: grouped trial division, then Pollard-Brent rho.
 
-    Primes below ``_TRIAL_BOUND`` are tried a block at a time with one gcd
-    per block, stopping early once the cofactor is prime.  A cofactor left
-    with no factor below the bound is prime when it is below the bound
-    squared or passes ``is_prime``; otherwise rho splits it.  Only when rho
-    runs past its step cap with every constant does FactorBoundError replace
-    a wrong answer.
+    Primes below ``_TRIAL_BOUND`` are tried 256 at a time with one gcd per
+    group; only a group that shares a factor with the cofactor is split into
+    blocks of 32, each tested against that shared factor.  Trial stops early
+    once the cofactor is prime.  A cofactor left with no factor below the
+    bound is prime when it is below the bound squared or passes ``is_prime``;
+    otherwise rho splits it.  Every prime is proven exactly once on the way,
+    so the result skips the constructor's re-check.  Only when rho runs past
+    its step cap with every constant does FactorBoundError replace a wrong
+    answer.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     c = n
     composite = False  # is_prime has rejected this c
-    for least_square, product, block in _trial_blocks():
+    for least_square, product, blocks in _trial_blocks():
         if c < least_square:
             break  # c is 1 or a prime: no factor up to its square root
-        # big prime cofactors are common; skip the remaining blocks
+        # big prime cofactors are common; skip the remaining groups
         if not composite and c >= _TRIAL_BOUND:
             if is_prime(c):
                 break
@@ -209,26 +234,34 @@ def factorize(n: int) -> Factorization:
         g = math.gcd(c, product)
         if g == 1:
             continue
-        for p in block:
-            if g % p == 0:
-                c //= p
-                e = 1
-                while c % p == 0:
+        for block_product, block in blocks:
+            h = math.gcd(g, block_product)
+            if h == 1:
+                continue
+            g //= h
+            for p in block:
+                if h % p == 0:
                     c //= p
-                    e += 1
-                factors.append((p, e))
-                g //= p
-                if g == 1:
-                    break
+                    e = 1
+                    while c % p == 0:
+                        c //= p
+                        e += 1
+                    factors.append((p, e))  # a trial prime comes from the sieve
+                    h //= p
+                    if h == 1:
+                        break
+            if g == 1:
+                break
         composite = False
     else:
         # no prime below the bound divides c
         if c >= _TRIAL_BOUND**2 and (composite or not is_prime(c)):
             factors += _rho_factors(c, n)
             c = 1
+    # c > 1 has no factor up to its square root, or is_prime has just accepted it
     if c > 1:
         factors.append((c, 1))
-    return Factorization(tuple(factors))
+    return _proven(factors)
 
 
 def _rho_factors(c: int, n: int) -> list[tuple[int, int]]:
@@ -237,6 +270,7 @@ def _rho_factors(c: int, n: int) -> list[tuple[int, int]]:
     pending = [c]
     while pending:
         m = pending.pop()
+        # m has no factor below the bound: prime below its square, else proven
         if m < _TRIAL_BOUND**2 or is_prime(m):
             primes[m] = primes.get(m, 0) + 1
             continue

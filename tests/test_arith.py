@@ -58,11 +58,18 @@ class TestIsPrime:
             assert is_prime(n) == is_prime_trial(n), n
 
     def test_strong_pseudoprimes_are_rejected(self):
-        # smallest strong pseudoprimes to bases 2 / 2,3 / 2,3,5 / 2,3,5,7;
-        # each sits exactly on a witness-ladder boundary
+        # the three smallest strong pseudoprimes to base 2, then the smallest
+        # to bases 2,3 / 2,3,5 / 2,3,5,7; 2047, 1373653 and 25326001 are the
+        # first numbers past the rung whose witnesses they fool
         for n in (2047, 3277, 4033, 1373653, 25326001, 3215031751):
             assert not is_prime(n), n
             assert not is_prime_trial(n) if n < 10**7 else True
+
+    def test_witness_counts_never_decrease_along_the_ladder(self):
+        counts = [len(witnesses) for _, witnesses in arith._MR_LADDER]
+        assert counts == sorted(counts)
+        limits = [limit for limit, _ in arith._MR_LADDER]
+        assert limits == sorted(set(limits))
 
     def test_deterministic_bound_documented(self):
         assert DETERMINISTIC_PRIME_BOUND == 3_317_044_064_679_887_385_961_981
@@ -215,6 +222,71 @@ class TestFactorizeOracle:
         for _ in range(60):
             n = rng.randrange(0, 5 * 10**11) * 2 + 1
             assert dict(factorize(n)) == factor_trial(n), n
+
+
+def _check_against_oracle(n: int) -> None:
+    f = factorize(n)
+    assert dict(f) == factor_trial(n), n
+    # the public constructor, which proves every prime again, accepts it
+    assert Factorization(f.factors) == f, n
+
+
+class TestFactorizeTrustedPath:
+    """factorize skips the constructor's checks: its output at the edges of
+    the trial blocks and groups and of the trial bound, against the oracle."""
+
+    def test_block_and_group_edges(self):
+        primes = primes_in(0, 2000)
+        edges = [primes[i] for i in (31, 32, 255, 256)]  # 32nd/33rd, 256th/257th
+        assert edges == [131, 137, 1619, 1621]
+        for p, q in itertools.combinations_with_replacement(edges, 2):
+            for cofactor in (1, 3, 65537, 4_294_967_311):
+                _check_against_oracle(p * q * cofactor)
+
+    def test_trial_bound_edge(self):
+        below, above = 65521, 65537  # the primes either side of 2^16
+        assert below == max(primes_in(65000, 1 << 16)) and above == _prime_from(1 << 16)
+        for n in (below * above, below**2, above**2, 3 * below * above):
+            _check_against_oracle(n)
+
+    def test_prime_cofactor_either_side_of_bound_squared(self):
+        below, above = 4_294_967_291, 4_294_967_311  # the primes either side of 2^32
+        assert is_prime_trial(below) and is_prime_trial(above)
+        for p in (below, above):
+            for small in (1, 3, 131 * 137, 65521):
+                _check_against_oracle(small * p)
+
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=10**8 - 1))
+    def test_matches_oracle_below_10_8(self, n):
+        _check_against_oracle(n)
+
+
+class TestFactorizeProvesOnce:
+    def _count(self, monkeypatch) -> list[int]:
+        seen: list[int] = []
+
+        def counting(m: int) -> bool:
+            seen.append(m)
+            return is_prime(m)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        return seen
+
+    def test_two_calls_for_a_large_prime_cofactor(self, monkeypatch):
+        # one rejects n, one accepts the cofactor left after 3, 5 and 7
+        seen = self._count(monkeypatch)
+        factorize(3 * 5 * 7 * 999_999_999_989)
+        assert seen == [3 * 5 * 7 * 999_999_999_989, 999_999_999_989]
+
+    def test_no_call_proves_a_trial_prime(self, monkeypatch):
+        seen = self._count(monkeypatch)
+        rng = random.Random(59)
+        for _ in range(2000):
+            n = rng.randrange(1, 10**12)
+            del seen[:]
+            factorize(n)
+            assert all(m >= arith._TRIAL_BOUND for m in seen if m != n), n
 
 
 class TestFactorizeSympy:
