@@ -29,7 +29,6 @@ from .classify import (
     euler_form,
     odd_multiperfect_upto,
     omega_bound_product,
-    sigma_table,
 )
 from .errors import (
     CheckpointError,
@@ -39,12 +38,10 @@ from .errors import (
 from .quadratic import (
     CertificateReport,
     QuadInt,
-    divides,
     identity_sweep,
     ratio_identity_check,
     trace_expansion,
     two_adic_certificate,
-    unit_group,
 )
 from .search import (
     Equation,

@@ -73,13 +73,6 @@ def _sigma_segment(lo: int, hi: int, step: int) -> np.ndarray:
     return t
 
 
-def sigma_table(limit: int) -> np.ndarray:
-    """sigma(n) for every n <= limit, as an int64 array (index 0 holds 0)."""
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    return _sigma_segment(0, limit + 1, 1)
-
-
 def _multiperfect(limit: int, step: int) -> list[tuple[int, int]]:
     """(n, k) with sigma(n) = k*n for n = 1, 1 + step, ... <= limit, ascending."""
     if limit < 1:

@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 from .arith import is_prime, primality_is_proven, primes_upto, v2
 from .errors import ConsistencyError
-
-UnitSign = Literal[1, -1]
 
 
 @dataclass(frozen=True)
@@ -96,32 +93,6 @@ class QuadInt:
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+}*sqrt({self.d})"
-
-
-def divides(x: QuadInt, y: QuadInt | int, /) -> bool:
-    """True iff y = x*z for some z in Z[sqrt(d)].
-
-    Multiplying y by the conjugate of x turns the 2x2 linear system for z
-    into two rational-integer divisibility checks by norm(x).
-    """
-    if x.is_zero():
-        raise ZeroDivisionError("division by the zero element")
-    w = y * x.conjugate() if isinstance(y, QuadInt) else x.conjugate() * y
-    n = x.norm()
-    return w.a % n == 0 and w.b % n == 0
-
-
-def unit_group(d: int) -> tuple[UnitSign, UnitSign]:
-    """The unit group of Z[sqrt(d)], hard-coded as (1, -1).
-
-    Only correct for d <= -4 (the regime d = 1 - q, q = 1 mod 4, actually
-    reaches); d = -1 and d = -3 are rejected rather than answered wrongly.
-    """
-    if d >= 0:
-        raise ValueError(f"ring parameter must be negative, got d={d}")
-    if d in (-1, -3):
-        raise ValueError(f"unit group for d={d} is not {{1, -1}}; unsupported")
-    return (1, -1)
 
 
 def trace_expansion(m: int, d: int) -> int:

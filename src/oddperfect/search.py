@@ -7,11 +7,12 @@ numbers, each of which sieves its own primes, so the merged output is
 byte-identical for any worker count, which is what makes golden-file and
 resume testing possible.
 
-Within a shard, sigma(q^alpha) mod M is built for every prime at once, alpha
-by alpha, in int64 arithmetic, and compared with the residues that k*n^2
-can take mod each factor of M (k = 2 or 1; H. Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 1.7.3).  Only the pairs that
-pass get the exact sigma and square test.
+Within a shard, sigma(q^alpha) mod M1 and mod M2 is built for every prime at
+once in one int64 recurrence, alpha by alpha (odd alpha only for 2n^2,
+where an even one makes sigma odd), and compared with the residues that
+k*n^2 can take mod factors of M1, then of M2 (k = 2 or 1; H. Cohen, A
+Course in Computational Algebraic Number Theory, Alg. 1.7.3).  Only the
+pairs that pass get the exact sigma and square test.
 """
 from __future__ import annotations
 
@@ -34,10 +35,14 @@ from .errors import CheckpointError, ConsistencyError
 #: useful, large enough that process overhead stays negligible.
 SHARD_WIDTH = 1 << 14
 
-#: The factors m of the residue sieve's modulus M = 5 765 760.  A residue
-#: is below M, so a product of two stays below M^2 < 2^63.
-_RESIDUE_MODULI = (128, 63, 65, 11)
-_RESIDUE_MODULUS = math.prod(_RESIDUE_MODULI)
+#: The residue sieve's state holds sigma(q^alpha) mod M1 = 5 765 760 in row 0
+#: and mod M2 = 247 110 827 in row 1.  A step computes S*B + A from residues
+#: below m, so no value reaches m^2 + m < 2^63.
+_MODULI = np.array([[5_765_760], [247_110_827]])
+
+#: The coprime factors of the four residue tables: row 0 is read mod 128 and
+#: 45 045 = 63*65*11, row 1 mod 215 441 = 17*19*23*29 and 1 147 = 31*37.
+_TABLE_FACTORS = ((128,), (63, 65, 11), (17, 19, 23, 29), (31, 37))
 
 
 class Equation(str, enum.Enum):
@@ -48,11 +53,19 @@ class Equation(str, enum.Enum):
 
 
 def _residue_tables(k: int) -> tuple[np.ndarray, ...]:
-    """Per modulus m, flags of the residues k*r^2 mod m: those k*n^2 can take."""
+    """Per table of modulus m, flags of the residues k*r^2 mod m: those k*n^2 can take.
+
+    x is k*r^2 mod m iff it is k*r^2 mod every factor f of m (the Chinese
+    remainder theorem), so each table is the AND of its factors' tables.
+    """
     tables = []
-    for m in _RESIDUE_MODULI:
-        flags = np.zeros(m, dtype=bool)
-        flags[k * np.arange(m) ** 2 % m] = True
+    for factors in _TABLE_FACTORS:
+        flags = np.ones(math.prod(factors), dtype=bool)
+        for f in factors:
+            small = np.zeros(f, dtype=bool)
+            small[k * np.arange(f) ** 2 % f] = True
+            grid = flags.reshape(-1, f)  # a view: x = i*f + j at [i, j], so j = x mod f
+            grid &= small
         tables.append(flags)
     return tuple(tables)
 
@@ -225,25 +238,31 @@ def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
 def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
     """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi).
 
-    Runs in a worker process.  Only the (q, alpha) whose sigma mod M passes
-    every residue table get the exact sigma and square test.
+    Runs in a worker process.  The state S holds sigma(q^alpha) mod M1 and
+    mod M2 for every prime.  From S = 0 at alpha = -1, each step S = S*B + A
+    moves alpha on by 1 for nsq, with (A, B) = (1, q), and by 2 over odd
+    alpha for 2nsq, with (A, B) = (1 + q, q^2): an even alpha makes sigma
+    odd, never 2n^2.  Only the (q, alpha) that pass M1's tables, and then
+    M2's, get the exact sigma and square test.
     """
     cfg, lo, hi = args
     primes = _eligible(lo, hi, cfg.residue_filter)
-    tables = _RESIDUE_TABLES[cfg.equation]
-    base = primes % _RESIDUE_MODULUS
-    power = np.ones_like(base)
-    sigma = np.ones_like(base)
+    by128, by45045, by215441, by1147 = _RESIDUE_TABLES[cfg.equation]
+    base = primes % _MODULI  # before any product: q*q overflows int64 from q > 3.04e9
+    if cfg.equation is Equation.N_SQUARED:
+        add, mul, step = 1, base, 1
+    else:
+        add, mul, step = (1 + base) % _MODULI, base * base % _MODULI, 2
+    sigma = np.zeros_like(base)
     records: list[SolutionRecord] = []
-    for alpha in range(1, cfg.alpha_max + 1):
-        power = power * base % _RESIDUE_MODULUS
-        sigma = (sigma + power) % _RESIDUE_MODULUS
+    for alpha in range(step - 1, cfg.alpha_max + 1, step):
+        sigma = (sigma * mul + add) % _MODULI
         if alpha < cfg.alpha_min:
             continue
-        passed = np.logical_and.reduce(
-            [table[sigma % m] for m, table in zip(_RESIDUE_MODULI, tables)]
-        )
-        for q in primes[passed].tolist():
+        low = sigma[0]
+        passed = (by128[low & 127] & by45045[low % 45045]).nonzero()[0]
+        high = sigma[1, passed]
+        for q in primes[passed[by215441[high % 215441] & by1147[high % 1147]]].tolist():
             record = _solution(cfg.equation, q, alpha)
             if record is not None:
                 records.append(record)
@@ -312,8 +331,13 @@ def _shard_results(cfg: SearchConfig, lo: int):
                 yield last, *future.result()
         for last, future in pending:
             yield last, *future.result()
-    finally:
+    except BaseException:
+        # Ctrl-C, a failed shard or an abandoned scan: return at once
         pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    # every shard is done: the workers exit before the call returns, so
+    # that none of them still runs while the next call starts its pool
+    pool.shutdown()
 
 
 def checkpoint_save(cfg: SearchConfig, q_done: int, records: list[SolutionRecord]) -> None:

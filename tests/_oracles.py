@@ -8,7 +8,9 @@ package are checked against a second opinion, never against themselves.
 The one exception is scan_shard_isqrt, the search kernel before its residue
 sieve, which uses the package's square test and split.  It imports them when
 called: perfbench/refs.py loads this module before the set-up probe times
-the package's import.
+the package's import.  divides, the exact divisibility test in Z[sqrt(d)]
+behind the ideal-coprimality tests, takes the package's QuadInt values from
+its caller and imports nothing.
 """
 from __future__ import annotations
 
@@ -140,6 +142,20 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[j] + row[j + 1] for j in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def divides(x, y, /) -> bool:
+    """True iff y = x*z for some z in Z[sqrt(d)], for a QuadInt x and a
+    QuadInt or int y.
+
+    Multiplying y by the conjugate of x turns the 2x2 linear system for z
+    into two rational-integer divisibility checks by norm(x).
+    """
+    if x.is_zero():
+        raise ZeroDivisionError("division by the zero element")
+    w = x.conjugate() * y
+    n = x.norm()
+    return w.a % n == 0 and w.b % n == 0
 
 
 def search_solutions(

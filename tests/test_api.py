@@ -11,7 +11,9 @@ from pathlib import Path
 
 import oddperfect
 import oddperfect.arith
+import oddperfect.classify
 import oddperfect.cli
+import oddperfect.quadratic
 import oddperfect.search
 
 
@@ -26,11 +28,14 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
                  "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND",
-                 "SHARD_PRIMES", "binomial", "vp"):
+                 "SHARD_PRIMES", "binomial", "vp", "unit_group", "divides", "sigma_table"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     assert not hasattr(oddperfect.search, "CheckpointState")
     assert not hasattr(oddperfect.search, "SHARD_PRIMES")
+    for name in ("unit_group", "divides", "UnitSign"):
+        assert not hasattr(oddperfect.quadratic, name), name
+    assert not hasattr(oddperfect.classify, "sigma_table")
     for name in ("FACTOR_BOUND", "vp", "_vp_int"):
         assert not hasattr(oddperfect.arith, name), name
     for name in ("CHECKPOINT_DIR_ENV", "_checkpoint_path"):

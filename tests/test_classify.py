@@ -18,7 +18,6 @@ from oddperfect.classify import (
     euler_form,
     odd_multiperfect_upto,
     omega_bound_product,
-    sigma_table,
 )
 from oddperfect.search import canonical_json
 from _oracles import factor_trial, sigma_divisor_sum, v2_int
@@ -42,13 +41,9 @@ class TestAbundancy:
 
 class TestSigmaTable:
     def test_matches_divisor_sum(self):
-        table = sigma_table(3000)
+        table = classify._sigma_segment(0, 3001, 1)
         for n in range(1, 3001):
             assert int(table[n]) == sigma_divisor_sum(n), n
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            sigma_table(0)
 
 
 class TestEnumerateMultiperfect:

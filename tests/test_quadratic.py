@@ -11,15 +11,13 @@ from oddperfect.arith import primes_upto
 from oddperfect.errors import ConsistencyError
 from oddperfect.quadratic import (
     QuadInt,
-    divides,
     identity_sweep,
     ratio_identity_check,
     trace_expansion,
     two_adic_certificate,
-    unit_group,
 )
 from oddperfect.search import canonical_json
-from _oracles import certificate_rational, is_prime_trial
+from _oracles import certificate_rational, divides, is_prime_trial
 
 
 class TestQuadIntRing:
@@ -126,21 +124,6 @@ class TestDivides:
             for _ in range(20):
                 power = power * x
                 assert not divides(QuadInt(d, q, 0), power)
-
-
-class TestUnitGroup:
-    def test_hardcoded_sign_pair(self):
-        assert unit_group(-4) == (1, -1)
-        assert unit_group(-2) == (1, -1)
-        assert unit_group(-163) == (1, -1)
-
-    def test_gaussian_and_eisenstein_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            unit_group(-1)
-        with pytest.raises(ValueError):
-            unit_group(-3)
-        with pytest.raises(ValueError):
-            unit_group(5)
 
 
 class TestTraceExpansion:

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oddperfect.arith import primes_upto
 import oddperfect.search
@@ -167,6 +170,38 @@ CRITERIA = [
 ]
 
 
+def record_exact_tests(monkeypatch) -> list:
+    """The (q, alpha) of every exact test the kernel makes from now on."""
+    real, tested = oddperfect.search._solution, []
+
+    def solution(equation, q, alpha):
+        tested.append((q, alpha))
+        return real(equation, q, alpha)
+
+    monkeypatch.setattr(oddperfect.search, "_solution", solution)
+    return tested
+
+
+def residue_survivors(cfg: SearchConfig, k: int) -> list:
+    """The (q, alpha) of cfg whose exact sigma is a k*r^2 residue mod every
+    factor of both moduli: exactly the pairs the kernel must test exactly.
+    """
+    factors = (128, 63, 65, 11, 17, 19, 23, 29, 31, 37)
+    residues = {m: {k * r * r % m for r in range(m)} for m in factors}
+    survivors = []
+    for q in primes_in(cfg.q_min, cfg.q_max):
+        if cfg.residue_filter not in (None, q % 4):
+            continue
+        sigma = power = 1
+        for alpha in range(1, cfg.alpha_max + 1):
+            power *= q
+            sigma += power
+            if alpha >= cfg.alpha_min and all(sigma % m in allowed
+                                              for m, allowed in residues.items()):
+                survivors.append((q, alpha))
+    return survivors
+
+
 class TestKernelAgainstOracle:
     @pytest.mark.parametrize("jobs", [1, 2, 8])
     @pytest.mark.parametrize("cfg", CRITERIA, ids=["c01", "c02", "c02_contrast", "c03",
@@ -181,10 +216,44 @@ class TestKernelAgainstOracle:
         nsq(q_min=7, q_max=7, alpha_max=9),
         two_nsq(q_min=7, q_max=7, alpha_max=9),
         two_nsq(q_min=8, q_max=8),
+        two_nsq(q_min=2, q_max=3000, alpha_max=40),
+        two_nsq(q_min=2, q_max=3000, alpha_min=2, alpha_max=2),
+        two_nsq(q_min=2, q_max=3000, alpha_min=4, alpha_max=9),
+        nsq(q_min=2, q_max=3000, alpha_min=4, alpha_max=9),
+        two_nsq(q_min=2, q_max=3000, alpha_min=1, alpha_max=1),
+        two_nsq(q_min=2, q_max=3000, alpha_min=7, alpha_max=7),
+        nsq(q_min=2, q_max=3000, alpha_min=3, alpha_max=3),
     ], ids=["q_2", "from_q_2_nsq", "from_q_2_2nsq", "one_prime_nsq", "one_prime_2nsq",
-            "one_composite"])
+            "one_composite", "alpha_1_hits_2nsq", "alpha_2_2nsq", "alpha_4_to_9_2nsq",
+            "alpha_4_to_9_nsq", "alpha_1_2nsq", "alpha_7_2nsq", "alpha_3_nsq"])
     def test_edge_ranges(self, cfg):
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        equation=st.sampled_from(list(Equation)),
+        q_min=st.integers(min_value=1, max_value=5000),
+        width=st.integers(min_value=0, max_value=1500),
+        alpha_min=st.integers(min_value=1, max_value=30),
+        alpha_width=st.integers(min_value=0, max_value=30),
+        residue_filter=st.sampled_from([None, 1, 3]),
+    )
+    def test_random_windows(self, equation, q_min, width, alpha_min, alpha_width,
+                            residue_filter):
+        cfg = SearchConfig(equation, q_min=q_min, q_max=q_min + width, alpha_min=alpha_min,
+                           alpha_max=alpha_min + alpha_width, residue_filter=residue_filter)
+        assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
+
+    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
+    def test_q_beyond_the_square_root_of_int64(self, monkeypatch, equation, k):
+        # q^2 > 2^63 here, so the kernel must reduce q mod M before its first
+        # product; the window holds the 2nsq hit q = 2*46368^2 - 1 = 4299982847
+        cfg = SearchConfig(equation, q_min=4_299_980_000, q_max=4_299_980_000 + (1 << 12) - 1,
+                           alpha_max=101)
+        assert cfg.q_min**2 > 2**63
+        tested = record_exact_tests(monkeypatch)
+        assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
+        assert sorted(tested) == residue_survivors(cfg, k)
 
     @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
     def test_large_q_and_alpha(self, monkeypatch, equation, k):
@@ -192,33 +261,27 @@ class TestKernelAgainstOracle:
         # the window holds the 2nsq hit q = 2*7076^2 - 1 = 100139551
         cfg = SearchConfig(equation, q_min=100_100_000, q_max=100_100_000 + (1 << 16) - 1,
                            alpha_max=101)
-        real, tested = oddperfect.search._solution, []
-
-        def solution(equation, q, alpha):
-            tested.append((q, alpha))
-            return real(equation, q, alpha)
-
-        monkeypatch.setattr(oddperfect.search, "_solution", solution)
+        tested = record_exact_tests(monkeypatch)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
-        # exactly the pairs whose exact sigma is a k*r^2 residue mod every m get tested
-        residues = {m: {k * r * r % m for r in range(m)} for m in (128, 63, 65, 11)}
-        expected = []
-        for q in primes_in(cfg.q_min, cfg.q_max):
-            sigma = power = 1
-            for alpha in range(1, cfg.alpha_max + 1):
-                power *= q
-                sigma += power
-                if all(sigma % m in allowed for m, allowed in residues.items()):
-                    expected.append((q, alpha))
-        assert sorted(tested) == expected
+        assert sorted(tested) == residue_survivors(cfg, k)
+        if equation is Equation.TWO_N_SQUARED:
+            # odd stepping: no even alpha is ever stepped to, let alone tested
+            assert tested and all(alpha % 2 for _, alpha in tested)
 
     @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
     def test_residue_tables(self, equation, k):
         tables = oddperfect.search._RESIDUE_TABLES[equation.value]
-        assert len(tables) == 4
-        for m, table in zip((128, 63, 65, 11), tables):
-            assert len(table) == m
+        assert [len(table) for table in tables] == [128, 45045, 215441, 1147]
+        # row 0 of the state is read by the first two tables, row 1 by the last two
+        assert oddperfect.search._MODULI.ravel().tolist() == [128 * 45045, 215441 * 1147]
+        for table in tables:
+            m = len(table)
             assert set(table.nonzero()[0].tolist()) == {k * r * r % m for r in range(m)}
+
+    def test_steps_cannot_overflow(self):
+        # a step's S*B + A, residues below m, stays below m^2 + m
+        m = int(oddperfect.search._MODULI.max())
+        assert m * m + m < 2**63
 
 
 class TestCoverageAccounting:
@@ -336,6 +399,39 @@ class TestWorkerCap:
         assert fake_pool.sizes == [2]
         assert fake_pool.peak == 4 and fake_pool.in_flight == 0
         assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
+
+
+_real_scan_shard = oddperfect.search._scan_shard
+
+
+def interrupt_first_shard_hold_others(args):
+    """A shard scan for a real pool: the first shard raises KeyboardInterrupt,
+    every other one first sleeps 2 s.  Module-level, so that it pickles.
+    """
+    if args[1] < NARROW:
+        raise KeyboardInterrupt
+    time.sleep(2)
+    return _real_scan_shard(args)
+
+
+class TestPoolLifetime:
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+
+    def test_workers_exit_before_the_call_returns(self):
+        before = set(multiprocessing.active_children())
+        report = run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
+        assert set(multiprocessing.active_children()) - before == set()
+        assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
+
+    def test_interrupt_does_not_wait_for_running_shards(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search, "_scan_shard", interrupt_first_shard_hold_others)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
+        assert time.monotonic() - start < 1
 
 
 # nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
