@@ -49,6 +49,7 @@ PROBABLE_PRIME_WITNESSES = (
 _SIEVE_SEGMENT = 1 << 18
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
 #: factorize trial-divides by the primes below this bound; a cofactor with no
 #: such factor that is below the bound squared is therefore prime.
@@ -69,42 +70,35 @@ _RHO_CONSTANTS = (1, 3, 5)
 _RHO_BATCH = 64
 
 
-def _strong_probable_prime(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
-    d = n - 1
-    r = (d & -d).bit_length() - 1
-    d >>= r
-    x = pow(base, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(r - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
 def is_prime(n: int) -> bool:
     """Primality test, unconditionally correct below ~3.3e24.
 
-    Below ``DETERMINISTIC_PRIME_BOUND`` the witness set in use is a proven
-    deterministic one; above it the answer is a strong-probable-prime verdict
-    with the ``PROBABLE_PRIME_WITNESSES`` bases.
+    One gcd screens n for the primes up to 37.  Any other n >= 41 faces the
+    strong-probable-prime test: below ``DETERMINISTIC_PRIME_BOUND`` with a
+    proven deterministic witness set, above it with the
+    ``PROBABLE_PRIME_WITNESSES`` bases, and then the answer is only probable.
     """
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < 2 or math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
     for limit, witnesses in _MR_LADDER:
         if n < limit:
             break
     else:
         witnesses = PROBABLE_PRIME_WITNESSES
-    return all(_strong_probable_prime(n, a) for a in witnesses)
+    # n - 1 = 2^r * d with d odd; every witness in use is below n >= 41
+    r = v2(n - 1)
+    d = (n - 1) >> r
+    for a in witnesses:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def primality_is_proven(n: int) -> bool:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import add
 
 from .arith import is_prime, primality_is_proven, primes_upto, v2
 from .errors import ConsistencyError
@@ -193,10 +195,10 @@ def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
     S is the trace relation divided by its i=1 term; a solution of
     2n^2 = sigma(q^alpha) would force S = 0, while v2(S) = 0 shows S is a
     2-adic unit, the contradiction that closes the proof.  The sum runs to
-    floor((alpha+1)/4).  No summand is evaluated: with t = v2(q-1), Kummer's
-    theorem gives summand i the valuation
-    s2(2i-2) + s2(m-2i+2) - s2(m) + (i-1)*t - v2(i), s2 the binary digit sum
-    (2i-1 is odd), so q enters only through t.
+    floor((alpha+1)/4).  No summand is evaluated: Kummer's theorem, with
+    s2(2i-2) = s2(i-1) and Legendre's v2(i) = s2(i-1) + 1 - s2(i), gives
+    summand i (2i-1 is odd) the valuation s2(i) + s2(m-2i+2) - s2(m) - 1 +
+    (i-1)*t, s2 the binary digit sum and t = v2(q-1): q enters only through t.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -206,16 +208,18 @@ def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
         raise ValueError(f"alpha must be odd and >= 3, got {alpha}")
     t = v2(q - 1)
     m = (alpha - 3) // 2
-    s2m = m.bit_count()
-    summands = [
-        (i, (2 * i - 2).bit_count() + (m - 2 * i + 2).bit_count() - s2m
-            + (i - 1) * t - v2(i))
-        for i in range(2, (alpha + 1) // 4 + 1)
-    ]
+    top = (alpha + 1) // 4 + 1  # summands i = 2 .. top - 1
+    # K = alpha.bit_length() puts m-2i+2 below 2^K, so s2(i) + s2(m-2i+2) =
+    # s2(i*2^K + m-2i+2), stepping by 2^K - 2; (i-1)*t - s2(m) - 1 adds t per i
+    step = (1 << alpha.bit_length()) - 2
+    digits = map(int.bit_count, range(2 * step + m + 2, top * step + m + 2, step))
+    valuations = list(map(add, digits, accumulate(repeat(t), initial=t - 1 - m.bit_count())))
     # The carry count is >= 0 and t >= 2, so summand i has valuation at least
     # 2(i-1) - log2(i) >= 1 for i >= 2.  Every summand is then divisible by 2
     # while the leading 1 is not: v2(S) = 0 by the ultrametric inequality,
     # hence S != 0.  A summand below 1 would contradict t >= 2.
-    if any(v < 1 for _, v in summands):
+    if min(valuations, default=1) < 1:
         raise ConsistencyError(f"a summand valuation is below 1 at q={q} alpha={alpha}")
-    return CertificateReport(q, alpha, tuple(summands), v2_total=0, passed=True)
+    # via a list: tuple(zip(...)) resizes, which strands ~4 MB in CPython's tuple free lists
+    summands = tuple(list(zip(range(2, top), valuations)))
+    return CertificateReport(q, alpha, summands, v2_total=0, passed=True)

@@ -5,6 +5,9 @@ enumeration for sigma, trial division for primality and factors, crossing
 out the multiples of every d for a sieve, bisection for squareness.  Tests
 freeze expected values through these functions so the fast paths in the
 package are checked against a second opinion, never against themselves.
+certificate_ledger and is_prime_by_witnesses keep the certificate's
+per-summand formula and the primality test's per-witness loop as they stood
+before the package rewrote them as one pass and one gcd screen.
 The one exception is scan_shard_isqrt, the search kernel before its residue
 sieve, which uses the package's square test and split.  It imports them when
 called: perfbench/refs.py loads this module before the set-up probe times
@@ -132,6 +135,62 @@ def certificate_rational(q: int, alpha: int) -> tuple[tuple[tuple[int, int], ...
         summands.append((i, v2(term)))
         s += term
     return tuple(summands), v2(s) if s else 0, s != 0
+
+
+def certificate_ledger(q: int, alpha: int) -> list[tuple[int, int]]:
+    """(i, v2 of summand i) of the 2-adic certificate, one formula per i.
+
+    Kummer's carry count plus the linear term, with m = (alpha-3)/2 and
+    t = v2(q-1): s2(2i-2) + s2(m-2i+2) - s2(m) + (i-1)*t - v2(i), s2 the
+    binary digit sum; the certificate's per-summand formula before it was
+    rewritten through s2(2i-2) = s2(i-1) and Legendre's formula for v2(i).
+    v2(i) is read off i ^ (i-1) = 2^(v2(i)+1) - 1, which is faster per
+    summand than v2_int's digit string.
+    """
+    t = v2_int(q - 1)
+    m = (alpha - 3) // 2
+    s2m = m.bit_count()
+    return [
+        (i, (2 * i - 2).bit_count() + (m - 2 * i + 2).bit_count() - s2m
+            + (i - 1) * t - ((i ^ (i - 1)).bit_length() - 1))
+        for i in range(2, (alpha + 1) // 4 + 1)
+    ]
+
+
+def strong_probable_prime(n: int, base: int) -> bool:
+    """One Miller-Rabin round: is n a strong probable prime to this base?"""
+    if base % n == 0:
+        return True
+    d = n - 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    x = pow(base, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def is_prime_by_witnesses(n: int, ladder, fallback) -> bool:
+    """Trial division by the primes up to 37, then one strong-probable-prime
+    round per witness of the first (limit, witnesses) rung of ladder with
+    n < limit, or of fallback above them all.
+
+    The package's test before its one-gcd screen, with the ladder passed in
+    so that this module imports nothing from the package.
+    """
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    witnesses = next((w for limit, w in ladder if n < limit), fallback)
+    return all(strong_probable_prime(n, a) for a in witnesses)
 
 
 def pascal_binomial(n: int, k: int) -> int:

@@ -36,7 +36,7 @@ def test_removed_names_are_gone():
     for name in ("unit_group", "divides", "UnitSign"):
         assert not hasattr(oddperfect.quadratic, name), name
     assert not hasattr(oddperfect.classify, "sigma_table")
-    for name in ("FACTOR_BOUND", "vp", "_vp_int"):
+    for name in ("FACTOR_BOUND", "vp", "_vp_int", "_strong_probable_prime"):
         assert not hasattr(oddperfect.arith, name), name
     for name in ("CHECKPOINT_DIR_ENV", "_checkpoint_path"):
         assert not hasattr(oddperfect.cli, name), name

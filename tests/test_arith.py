@@ -31,6 +31,7 @@ from oddperfect.errors import FactorBoundError
 
 from _oracles import (
     factor_trial,
+    is_prime_by_witnesses,
     is_prime_trial,
     primes_in,
     sigma_divisor_sum,
@@ -79,6 +80,35 @@ class TestIsPrime:
     def test_large_known_primes(self):
         assert is_prime(2**61 - 1)
         assert not is_prime((2**61 - 1) * (2**31 - 1))
+
+
+class TestIsPrimeWitnessOracle:
+    """is_prime against its per-witness reference, is_prime_by_witnesses."""
+
+    @staticmethod
+    def _agree(numbers):
+        for n in numbers:
+            expected = is_prime_by_witnesses(n, arith._MR_LADDER, arith.PROBABLE_PRIME_WITNESSES)
+            assert is_prime(n) == expected, n
+
+    def test_either_side_of_every_rung(self):
+        self._agree(limit + k for limit, _ in arith._MR_LADDER for k in range(-2, 3))
+
+    def test_random_numbers_on_every_rung(self):
+        rng = random.Random(13)
+        limits = [limit for limit, _ in arith._MR_LADDER]
+        rungs = zip([2, *limits], [*limits, 10**30])
+        self._agree(rng.randrange(lo, hi) for lo, hi in rungs for _ in range(2000))
+
+    def test_first_inputs_past_the_gcd_screen(self):
+        primes = primes_in(41, 1000)
+        self._agree(primes)
+        low = primes_in(41, 200)
+        self._agree(p * q for p in low for q in low if p <= q)
+
+    def test_every_witness_as_n(self):
+        witnesses = {a for _, rung in arith._MR_LADDER for a in rung}
+        self._agree(sorted(witnesses | set(arith.PROBABLE_PRIME_WITNESSES)))
 
 
 class TestPrimesUpto:

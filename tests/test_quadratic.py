@@ -17,7 +17,7 @@ from oddperfect.quadratic import (
     two_adic_certificate,
 )
 from oddperfect.search import canonical_json
-from _oracles import certificate_rational, divides, is_prime_trial
+from _oracles import certificate_ledger, certificate_rational, divides, is_prime_trial
 
 
 class TestQuadIntRing:
@@ -233,7 +233,8 @@ class TestTwoAdicCertificate:
                 assert two_adic_certificate(q, alpha).passed, (q, alpha)
 
     def test_low_summand_raises(self, monkeypatch):
-        # with v2 forced to 0, q=5 alpha=7 has the single summand C(2,2) of v2 0
+        # with v2 forced to 0, t = 0 and q=5 alpha=7 has the single summand
+        # C(2,2)/(3*2), whose valuation then reads -1
         monkeypatch.setattr(oddperfect.quadratic, "v2", lambda n: 0)
         with pytest.raises(ConsistencyError):
             two_adic_certificate(5, 7)
@@ -263,6 +264,14 @@ _ORACLE_GRIDS = {
     ],
     "large-alpha": [(q, alpha) for q in (5, 65537) for alpha in (1001, 4001)],
 }
+
+
+def test_certificate_matches_per_summand_formula():
+    # the least prime of each t = v2(q-1) up to 24, every odd alpha up to 2001
+    for t in range(2, 25):
+        q = _smallest_prime_with_v2(t)
+        for alpha in range(3, 2002, 2):
+            assert list(two_adic_certificate(q, alpha).summands) == certificate_ledger(q, alpha)
 
 
 @pytest.mark.parametrize("grid", list(_ORACLE_GRIDS))
