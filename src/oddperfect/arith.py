@@ -1,7 +1,7 @@
 """Exact integer arithmetic primitives.
 
-Everything here is exact and deterministic: Python ints, and int64 arrays
-for the prime sieve.  No floating point.
+Everything here is exact and deterministic: Python ints, int64 arrays for
+the prime sieve and uint16 least prime factors below 2^20.  No floating point.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from .errors import FactorBoundError
 # (1993); the higher ones are later results.  No rung uses more witnesses
 # than the one above it.
 _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
     (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
     (25_326_001, (2, 3, 5)),
@@ -48,8 +47,9 @@ PROBABLE_PRIME_WITNESSES = (
 #: Numbers per segment of primes_between.
 _SIEVE_SEGMENT = 1 << 18
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_SMALL_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+#: is_prime and factorize answer every n below this bound from _spf_table.
+_TABLE_BOUND = 1 << 20
 
 #: factorize trial-divides by the primes below this bound; a cofactor with no
 #: such factor that is below the bound squared is therefore prime.
@@ -73,19 +73,22 @@ _RHO_BATCH = 64
 def is_prime(n: int) -> bool:
     """Primality test, unconditionally correct below ~3.3e24.
 
-    One gcd screens n for the primes up to 37.  Any other n >= 41 faces the
-    strong-probable-prime test: below ``DETERMINISTIC_PRIME_BOUND`` with a
-    proven deterministic witness set, above it with the
-    ``PROBABLE_PRIME_WITNESSES`` bases, and then the answer is only probable.
+    Below ``_TABLE_BOUND`` one smallest-prime-factor table lookup answers.
+    Above it one gcd screens out the multiples of the primes up to 37 and the
+    rest face the strong-probable-prime test: proven deterministic witnesses
+    below ``DETERMINISTIC_PRIME_BOUND``, the ``PROBABLE_PRIME_WITNESSES``
+    above it, and then the answer is only probable.
     """
-    if n < 2 or math.gcd(n, _SMALL_PRODUCT) != 1:
-        return n in _SMALL_PRIMES
+    if n < _TABLE_BOUND:  # the table holds odd n only
+        return n == 2 or (n > 2 and n & 1 == 1 and not _spf_table()[n >> 1])
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return False  # no n >= 2^20 is one of the primes up to 37
     for limit, witnesses in _MR_LADDER:
         if n < limit:
             break
     else:
         witnesses = PROBABLE_PRIME_WITNESSES
-    # n - 1 = 2^r * d with d odd; every witness in use is below n >= 41
+    # n - 1 = 2^r * d with d odd; every witness in use is below n >= 2^20
     r = v2(n - 1)
     d = (n - 1) >> r
     for a in witnesses:
@@ -141,9 +144,9 @@ class Factorization:
 
     Primes are strictly ascending, exponents positive; the public constructor
     checks both and proves every prime with ``is_prime``, so a Factorization
-    can be trusted blindly.  ``factorize`` proves each prime as it finds it
-    and builds its result without the second check.  The empty factorization
-    is 1.
+    can be trusted blindly.  ``factorize`` sieves or proves each prime as it
+    finds it and builds its result without the second check.  The empty
+    factorization is 1.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -181,6 +184,17 @@ def _proven(factors: list[tuple[int, int]]) -> Factorization:
 
 
 @functools.cache
+def _spf_table() -> memoryview:
+    """Least prime factor of odd n < _TABLE_BOUND at index n >> 1, 0 for primes
+    and 1, as uint16 read as Python ints; the odd primes p <= 1023 stamp their
+    odd multiples from p^2, largest first, so that the least writes last."""
+    spf = np.zeros(_TABLE_BOUND >> 1, dtype=np.uint16)
+    for p in reversed(primes_upto(math.isqrt(_TABLE_BOUND - 1))[1:]):
+        spf[p * p >> 1 :: p] = p
+    return memoryview(spf).toreadonly()
+
+
+@functools.cache
 def _trial_blocks() -> tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
     """The trial primes as groups of _TRIAL_GROUP blocks of _TRIAL_BLOCK.
 
@@ -200,22 +214,33 @@ def _trial_blocks() -> tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], 
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1: grouped trial division, then Pollard-Brent rho.
+    """Factor n >= 1: a table chain, or trial division then Pollard-Brent rho.
 
-    Primes below ``_TRIAL_BOUND`` are tried 256 at a time with one gcd per
+    Below ``_TABLE_BOUND`` the 2s go by ``v2`` and the odd part follows the
+    smallest-prime-factor table's chain of least prime factors.  Above it,
+    primes below ``_TRIAL_BOUND`` are tried 256 at a time with one gcd per
     group; only a group that shares a factor with the cofactor is split into
     blocks of 32, each tested against that shared factor.  Trial stops early
     once the cofactor is prime.  A cofactor left with no factor below the
     bound is prime when it is below the bound squared or passes ``is_prime``;
-    otherwise rho splits it.  Every prime is proven exactly once on the way,
-    so the result skips the constructor's re-check.  Only when rho runs past
-    its step cap with every constant does FactorBoundError replace a wrong
+    otherwise rho splits it.  Every prime is sieved or proven once, so the
+    result skips the constructor's re-check.  Only when rho runs past its
+    step cap with every constant does FactorBoundError replace a wrong
     answer.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors: list[tuple[int, int]] = []
     c = n
+    if n < _TABLE_BOUND:
+        spf, e = _spf_table(), v2(n)
+        factors, c = [(2, e)] if e else [], n >> e
+        while c > 1:
+            p, e = spf[c >> 1] or c, 0
+            while c % p == 0:
+                c, e = c // p, e + 1
+            factors.append((p, e))
+        return _proven(factors)  # every table prime comes from the sieve
     composite = False  # is_prime has rejected this c
     for least_square, product, blocks in _trial_blocks():
         if c < least_square:

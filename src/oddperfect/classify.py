@@ -172,9 +172,10 @@ class ChenLuoRecord:
     s: int
     terms: tuple[tuple[int, int, int, int], ...]  # (p, alpha, a, b)
     v2_sigma: int
+    primality_proven: bool = True  # False: a prime factor only passed a probable-prime test
 
     def as_dict(self) -> dict:
-        return {
+        data = {
             "s": self.s,
             "terms": [
                 {"p": p, "alpha": alpha, "a": a, "b": b}
@@ -182,6 +183,9 @@ class ChenLuoRecord:
             ],
             "v2_sigma": self.v2_sigma,
         }
+        if not self.primality_proven:
+            data["primality"] = "probable"
+        return data
 
 
 def chenluo_check(n: int) -> ChenLuoRecord:
@@ -207,7 +211,10 @@ def _chenluo_check(n: int, f: Factorization) -> ChenLuoRecord:
         raise ConsistencyError(
             f"valuation ledger {budget} != direct v2(sigma({n})) = {direct}"
         )
-    return ChenLuoRecord(s=s, terms=terms, v2_sigma=direct)
+    # the largest prime, last in f, is the one that can pass the proven bound
+    return ChenLuoRecord(
+        s=s, terms=terms, v2_sigma=direct, primality_proven=primality_is_proven(f.factors[-1][0])
+    )
 
 
 def omega_bound_product(count: int) -> int:

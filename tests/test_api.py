@@ -58,6 +58,9 @@ def test_size_parameters_are_constants():
     # criterion 10 interrupts the third of at least three shards at q <= 50 000
     assert type(oddperfect.search.SHARD_WIDTH) is int
     assert 0 < oddperfect.search.SHARD_WIDTH <= 16_666
+    # the smallest-prime-factor table holds bound / 2 uint16 entries: 1 MB at 2^20
+    bound = oddperfect.arith._TABLE_BOUND
+    assert type(bound) is int and 0 < bound <= 1 << 20 and bound & (bound - 1) == 0
 
 
 def test_oracles_load_without_the_package():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +37,7 @@ from _oracles import (
     primes_in,
     sigma_divisor_sum,
     square_root_scan,
+    strong_probable_prime,
     v2_int,
 )
 
@@ -59,9 +61,10 @@ class TestIsPrime:
             assert is_prime(n) == is_prime_trial(n), n
 
     def test_strong_pseudoprimes_are_rejected(self):
-        # the three smallest strong pseudoprimes to base 2, then the smallest
-        # to bases 2,3 / 2,3,5 / 2,3,5,7; 2047, 1373653 and 25326001 are the
-        # first numbers past the rung whose witnesses they fool
+        # the three smallest strong pseudoprimes to base 2, which the
+        # smallest-prime-factor table answers, then the smallest to bases
+        # 2,3 / 2,3,5 / 2,3,5,7; 1373653 and 25326001 are the first numbers
+        # past the rung whose witnesses they fool
         for n in (2047, 3277, 4033, 1373653, 25326001, 3215031751):
             assert not is_prime(n), n
             assert not is_prime_trial(n) if n < 10**7 else True
@@ -109,6 +112,41 @@ class TestIsPrimeWitnessOracle:
     def test_every_witness_as_n(self):
         witnesses = {a for _, rung in arith._MR_LADDER for a in rung}
         self._agree(sorted(witnesses | set(arith.PROBABLE_PRIME_WITNESSES)))
+
+
+class TestSmallestPrimeFactorTable:
+    """The table behind is_prime and factorize below _TABLE_BOUND."""
+
+    def test_every_odd_entry_against_the_sieve_oracle(self):
+        bound = arith._TABLE_BOUND
+        table = np.asarray(arith._spf_table()).astype(np.int64)
+        n = np.arange(1, bound, 2)
+        prime = np.zeros(bound, dtype=bool)
+        prime[primes_in(0, bound - 1)] = True
+        assert table[0] == 0  # n = 1
+        assert np.array_equal(table[1:] == 0, prime[n[1:]])
+        # a composite's entry p is a prime divisor, and its cofactor has no
+        # prime factor below p; by induction over n, p is the least
+        p, m = table[table > 0], n[table > 0]
+        assert prime[p].all() and (m % p == 0).all()
+        cofactor = m // p
+        least = table[cofactor >> 1]
+        assert (np.where(least == 0, cofactor, least) >= p).all()
+
+    def test_factorize_against_trial_division(self):
+        bound = arith._TABLE_BOUND
+        rng = random.Random(61)
+        numbers = [rng.randrange(1, bound) for _ in range(20_000)]
+        numbers += range(1, 3001)
+        numbers += (bound + k for k in range(-64, 65))
+        for n in numbers:
+            assert dict(factorize(n)) == factor_trial(n), n
+
+    def test_base_2_strong_pseudoprimes_read_composite(self):
+        for n in (2047, 3277, 4033):
+            assert strong_probable_prime(n, 2), n
+            assert arith._spf_table()[n >> 1] != 0 and not is_prime(n), n
+            assert dict(factorize(n)) == factor_trial(n), n
 
 
 class TestPrimesUpto:
@@ -339,17 +377,23 @@ class TestFactorizeSympy:
 
 class TestFactorizeIsLazy:
     def test_import_builds_no_trial_table(self):
+        # import builds neither table; a factorize below _TABLE_BOUND builds
+        # only the smallest-prime-factor table, one above it the trial groups
         code = (
             "import oddperfect, oddperfect.arith as a\n"
-            "print(a._trial_blocks.cache_info().currsize)\n"
+            "def built():\n"
+            "    print(a._spf_table.cache_info().currsize, a._trial_blocks.cache_info().currsize)\n"
+            "built()\n"
             "oddperfect.factorize(91)\n"
-            "print(a._trial_blocks.cache_info().currsize)\n"
+            "built()\n"
+            "oddperfect.factorize(a._TABLE_BOUND + 1)\n"
+            "built()\n"
         )
         src = str(Path(arith.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
-        assert out.split() == ["0", "1"]
+        assert out.splitlines() == ["0 0", "1 0", "1 1"]
 
 
 class TestFactorizationType:

@@ -231,6 +231,14 @@ class TestChenLuo:
         assert {t["p"] for t in data["terms"]} == {3, 5}
         json.dumps(data)
 
+    def test_probable_prime_factor_is_marked(self):
+        p = 2**89 - 1  # a Mersenne prime above DETERMINISTIC_PRIME_BOUND
+        record = chenluo_check(3 * p)
+        assert not record.primality_proven
+        assert record.as_dict()["primality"] == "probable"
+        assert chenluo_check(15).primality_proven
+        assert "primality" not in chenluo_check(15).as_dict()
+
 
 class TestOmegaBoundProduct:
     def test_first_eight_odd_primes(self):

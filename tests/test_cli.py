@@ -444,7 +444,7 @@ GOLDEN = [
     ("certify_q3_rejected", "3c160eb8424a06a6", "3c160eb8424a06a6",
      ["certify", "--q", "7", "--alpha", "3"], None),
     ("classify_672", "957d171fcc3da98d", "8e1a48672f2226e1", ["classify", "--n", "672"], None),
-    ("classify_probable", "ee29f28510c97a64", "03beace35edb7539",
+    ("classify_probable", "b5c462645970fd6a", "07253774fa9e11fb",
      ["classify", "--n", str(2**89 - 1)], None),
     ("classify_dhp_scan", "20cfc6a6df200047", "fadf4571921e38a4",
      ["classify", "--dhp-scan", "--limit", "10000"], None),
