@@ -114,11 +114,21 @@ def primes_upto(limit: int) -> list[int]:
     return primes_between(2, limit).tolist()
 
 
+@functools.cache
+def _base_primes(bits: int) -> tuple[list[int], np.ndarray]:
+    """The primes below 2^bits, for any hi below 4^bits: those below 256 as a list."""
+    base = primes_between(2, (1 << bits) - 1)
+    k = np.searchsorted(base, 256)
+    return base[:k].tolist(), base[k:]
+
+
 def primes_between(lo: int, hi: int) -> np.ndarray:
     """All primes p with lo <= p <= hi, ascending, by a segmented sieve.
 
-    The flags of one segment of _SIEVE_SEGMENT numbers are all it holds
-    besides the primes up to sqrt(hi) and the result.
+    It holds the flags of one segment of _SIEVE_SEGMENT numbers, the base
+    primes' multiples in it, the cached base primes and the result.  A base
+    prime below 256 crosses out its multiples with a slice; the larger ones,
+    with few multiples each, with one scatter (T. Oliveira e Silva's buckets).
 
     >>> primes_between(90, 110).tolist()
     [97, 101, 103, 107, 109]
@@ -126,14 +136,22 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     lo = max(lo, 2)
     if hi < lo:
         return np.empty(0, dtype=np.int64)
-    base = primes_between(2, math.isqrt(hi))
+    root = math.isqrt(hi)
+    small, large = _base_primes(root.bit_length())
+    large = large[: np.searchsorted(large, root, side="right")]
     segments = []
     for start in range(lo, hi + 1, _SIEVE_SEGMENT):
-        flags = np.ones(min(_SIEVE_SEGMENT, hi + 1 - start), dtype=bool)
-        # each base prime p crosses out its multiples from max(p^2, start) on
-        first = np.maximum(base * base, -(-start // base) * base) - start
-        for p, i in zip(base.tolist(), first.tolist()):
-            flags[i::p] = False
+        size = min(_SIEVE_SEGMENT, hi + 1 - start)
+        flags = np.ones(size, dtype=bool)
+        # each base prime p crosses out its multiples from max(p^2, start) on;
+        # one above sqrt(hi) has none there
+        for p in small:
+            flags[max(p * p - start, -start % p) :: p] = False
+        first = np.maximum(large * large - start, -start % large)
+        counts = np.maximum(size - first + large - 1, 0) // large
+        # the j-th multiple of each large p, for j counting up from 0 within p
+        j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        flags[np.repeat(first, counts) + np.repeat(large, counts) * j] = False
         segments.append(np.flatnonzero(flags).astype(np.int64) + start)
     return np.concatenate(segments)
 

@@ -7,17 +7,18 @@ numbers, each of which sieves its own primes, so the merged output is
 byte-identical for any worker count, which is what makes golden-file and
 resume testing possible.
 
-Within a shard, sigma(q^alpha) mod M1 and mod M2 is built for every prime at
-once in one int64 recurrence, alpha by alpha (odd alpha only for 2n^2,
-where an even one makes sigma odd), and compared with the residues that
-k*n^2 can take mod factors of M1, then of M2 (k = 2 or 1; H. Cohen, A
-Course in Computational Algebraic Number Theory, Alg. 1.7.3).  Only the
-pairs that pass get the exact sigma and square test.
+sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
+and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
+mod m (k = 2 or 1; H. Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 1.7.3, along the alpha axis).  A shard ANDs each prime's masks
+and the alpha range (odd alpha only for 2n^2: an even one makes sigma odd);
+only the alphas whose bit survives get the exact sigma and square test.
 """
 from __future__ import annotations
 
 import collections
 import enum
+import functools
 import hashlib
 import json
 import math
@@ -35,14 +36,15 @@ from .errors import CheckpointError, ConsistencyError
 #: useful, large enough that process overhead stays negligible.
 SHARD_WIDTH = 1 << 14
 
-#: The residue sieve's state holds sigma(q^alpha) mod M1 = 5 765 760 in row 0
-#: and mod M2 = 247 110 827 in row 1.  A step computes S*B + A from residues
-#: below m, so no value reaches m^2 + m < 2^63.
-_MODULI = np.array([[5_765_760], [247_110_827]])
+#: The residue sieve's moduli: sigma(q^alpha) mod m depends on q mod m and alpha only.
+_SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+_SIEVE_M = np.array(_SIEVE_MODULI)[:, None]
+#: Residue r mod _SIEVE_MODULI[j] is row _SIEVE_ROWS[j] + r of a table.
+_SIEVE_ROWS = np.cumsum(_SIEVE_M, axis=0) - _SIEVE_M
 
-#: The coprime factors of the four residue tables: row 0 is read mod 128 and
-#: 45 045 = 63*65*11, row 1 mod 215 441 = 17*19*23*29 and 1 147 = 31*37.
-_TABLE_FACTORS = ((128,), (63, 65, 11), (17, 19, 23, 29), (31, 37))
+#: The largest alpha_max a search accepts: the tables and each shard's mask
+#: hold alpha_max // 64 + 1 words per row.  The paper's runs use alpha <= 1001.
+ALPHA_MAX_BOUND = 10_000
 
 
 class Equation(str, enum.Enum):
@@ -52,29 +54,25 @@ class Equation(str, enum.Enum):
     N_SQUARED = "nsq"  # n^2 = sigma(q^beta)
 
 
-def _residue_tables(k: int) -> tuple[np.ndarray, ...]:
-    """Per table of modulus m, flags of the residues k*r^2 mod m: those k*n^2 can take.
-
-    x is k*r^2 mod m iff it is k*r^2 mod every factor f of m (the Chinese
-    remainder theorem), so each table is the AND of its factors' tables.
-    """
-    tables = []
-    for factors in _TABLE_FACTORS:
-        flags = np.ones(math.prod(factors), dtype=bool)
-        for f in factors:
-            small = np.zeros(f, dtype=bool)
-            small[k * np.arange(f) ** 2 % f] = True
-            grid = flags.reshape(-1, f)  # a view: x = i*f + j at [i, j], so j = x mod f
-            grid &= small
-        tables.append(flags)
-    return tuple(tables)
-
-
-#: sigma(q^alpha) is k*n^2 only if it is one of these residues mod every m.
-_RESIDUE_TABLES = {
-    Equation.TWO_N_SQUARED: _residue_tables(2),
-    Equation.N_SQUARED: _residue_tables(1),
-}
+@functools.cache
+def _alpha_tables(k: int, words: int) -> np.ndarray:
+    """Row offset + r for residue r mod each modulus m: the alpha < 64*words at
+    which sigma(r^alpha) mod m is a k*x^2 mod m, as bit alpha % 64 of uint64
+    word alpha // 64.  All rows step through alpha together."""
+    m = np.repeat(_SIEVE_MODULI, _SIEVE_MODULI)
+    offset = np.repeat(_SIEVE_ROWS, _SIEVE_MODULI)
+    r = np.arange(len(m)) - offset
+    square = np.zeros(len(m), dtype=bool)
+    square[offset + k * r * r % m] = True  # row offset + x: is x a k*r^2 mod m?
+    bits = np.empty((64 * words, len(m)), dtype=bool)
+    power = sigma = np.ones_like(m)
+    for alpha in range(64 * words):
+        bits[alpha] = square[offset + sigma]
+        power = power * r % m
+        sigma = (sigma + power) % m
+    table = np.packbits(bits, axis=0, bitorder="little").T.copy().view("<u8")
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -98,6 +96,8 @@ class SearchConfig:
             raise ValueError(f"alpha_min must be >= 1, got {self.alpha_min}")
         if self.alpha_min > self.alpha_max:
             raise ValueError(f"alpha_min {self.alpha_min} > alpha_max {self.alpha_max}")
+        if self.alpha_max > ALPHA_MAX_BOUND:
+            raise ValueError(f"alpha_max must be <= {ALPHA_MAX_BOUND}, got {self.alpha_max}")
         if self.residue_filter not in (None, 1, 3):
             raise ValueError(f"residue_filter must be 1 or 3, got {self.residue_filter}")
         if self.worker_count < 1:
@@ -105,21 +105,11 @@ class SearchConfig:
 
     def identity(self) -> dict:
         """The fields that define what is searched (not how)."""
-        return {
-            "equation": self.equation.value,
-            "q_min": self.q_min,
-            "q_max": self.q_max,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "residue_filter": self.residue_filter,
-        }
+        fields = ("q_min", "q_max", "alpha_min", "alpha_max", "residue_filter")
+        return {"equation": self.equation.value, **{f: getattr(self, f) for f in fields}}
 
     def config_hash(self) -> str:
-        """Stable digest of the search identity.
-
-        worker_count and checkpoint_path are excluded on purpose: runs that
-        differ only in those must produce identical reports.
-        """
+        """Digest of identity(): runs that differ only in how they run report alike."""
         return digest(self.identity())
 
 
@@ -235,39 +225,36 @@ def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
     return primes if residue_filter is None else primes[primes % 4 == residue_filter]
 
 
+def _alpha_masks(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
+    """cfg's residue tables (k = 2 for 2n^2, 1 for n^2) and its alpha range in
+    the tables' words, odd alpha only for 2n^2."""
+    two, words = cfg.equation is Equation.TWO_N_SQUARED, cfg.alpha_max // 64 + 1
+    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)
+    if two:
+        bits &= int.from_bytes(b"\xaa" * 8 * words, "little")
+    return _alpha_tables(1 + two, words), np.frombuffer(bits.to_bytes(8 * words, "little"), "<u8")
+
+
 def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
     """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi).
 
-    Runs in a worker process.  The state S holds sigma(q^alpha) mod M1 and
-    mod M2 for every prime.  From S = 0 at alpha = -1, each step S = S*B + A
-    moves alpha on by 1 for nsq, with (A, B) = (1, q), and by 2 over odd
-    alpha for 2nsq, with (A, B) = (1 + q, q^2): an even alpha makes sigma
-    odd, never 2n^2.  Only the (q, alpha) that pass M1's tables, and then
-    M2's, get the exact sigma and square test.
+    Runs in a worker process.  A prime's alpha mask is the AND of its
+    residue's row in each modulus's table and of cfg's alpha window; each
+    alpha whose bit survives gets the exact sigma and square test.
     """
     cfg, lo, hi = args
     primes = _eligible(lo, hi, cfg.residue_filter)
-    by128, by45045, by215441, by1147 = _RESIDUE_TABLES[cfg.equation]
-    base = primes % _MODULI  # before any product: q*q overflows int64 from q > 3.04e9
-    if cfg.equation is Equation.N_SQUARED:
-        add, mul, step = 1, base, 1
-    else:
-        add, mul, step = (1 + base) % _MODULI, base * base % _MODULI, 2
-    sigma = np.zeros_like(base)
-    records: list[SolutionRecord] = []
-    for alpha in range(step - 1, cfg.alpha_max + 1, step):
-        sigma = (sigma * mul + add) % _MODULI
-        if alpha < cfg.alpha_min:
-            continue
-        low = sigma[0]
-        passed = (by128[low & 127] & by45045[low % 45045]).nonzero()[0]
-        high = sigma[1, passed]
-        for q in primes[passed[by215441[high % 215441] & by1147[high % 1147]]].tolist():
-            record = _solution(cfg.equation, q, alpha)
-            if record is not None:
-                records.append(record)
-    records.sort(key=lambda r: (r.q, r.alpha))
-    return len(primes), records
+    table, window = _alpha_masks(cfg)
+    mask = np.tile(window, (len(primes), 1))
+    # row j holds each prime's row in the tables of modulus j
+    for rows in primes % _SIEVE_M + _SIEVE_ROWS:
+        mask &= table.take(rows, axis=0)
+    live = mask.any(axis=1).nonzero()[0]
+    # bit alpha of a row's words is bit alpha % 8 of its byte alpha // 8
+    which, alphas = np.unpackbits(mask[live].view(np.uint8), axis=1, bitorder="little").nonzero()
+    pairs = zip(primes[live[which]].tolist(), alphas.tolist())
+    records = [_solution(cfg.equation, q, alpha) for q, alpha in pairs]
+    return len(primes), [record for record in records if record is not None]
 
 
 def _intervals(lo: int, hi: int):
@@ -298,17 +285,15 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         if cfg.checkpoint_path is not None:
             checkpoint_save(cfg, done, records)
     # sigma(q^alpha) is odd for even alpha: never 2n^2, for any scanned prime
-    skip_per_prime = (
-        sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
-        if cfg.equation is Equation.TWO_N_SQUARED
-        else 0
-    )
-    return SearchReport(cfg, tuple(records), scanned, skip_per_prime * scanned)
+    even = cfg.alpha_max // 2 - (cfg.alpha_min - 1) // 2
+    skipped = even * scanned if cfg.equation is Equation.TWO_N_SQUARED else 0
+    return SearchReport(cfg, tuple(records), scanned, skipped)
 
 
 def _shard_results(cfg: SearchConfig, lo: int):
     """(last q, primes scanned, records) of each shard of [lo, q_max], in order."""
     payloads = ((cfg, a, b) for a, b in _intervals(lo, cfg.q_max))
+    _alpha_masks(cfg)  # builds the tables before any pool starts: forked workers inherit them
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
     # a pool starts all its workers at once: never more than there is work or CPUs
     workers = min(cfg.worker_count, shards, os.cpu_count() or 1)
@@ -362,17 +347,14 @@ def checkpoint_save(cfg: SearchConfig, q_done: int, records: list[SolutionRecord
 
 
 def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
-    """The largest q cfg's checkpoint has done, and the hits up to it.
+    """The largest q cfg's checkpoint has done, and the hits up to it, rescanned.
 
-    Raises CheckpointError unless the file matches its digest (which catches
-    an edited, truncated or corrupt file, or one in an older format, not a
-    forged one) and cfg, holds an int cursor in [q_min - 1, q_max], and
-    lists each hit as a pair of ints, with q a prime in [q_min, cursor] that
-    the residue filter admits and alpha in range, in strictly ascending
-    order, that rescanning finds again.  The records returned are those
-    rescans.  The rescan refuses a forged hit but cannot see an omitted one
-    (a hit deleted and the digest re-sealed), so only a run started without
-    a checkpoint backs a claim that a range is empty.
+    Raises CheckpointError unless the file matches its digest and cfg, its
+    cursor fits cfg's q-range, and each hit is an ascending pair of ints that
+    cfg admits and rescanning finds again (README, "Long searches").  The
+    digest is a checksum, not a signature: a hit deleted and the digest
+    re-sealed goes unseen, so only a run without a checkpoint backs a claim
+    that a range is empty.
     """
     path = cfg.checkpoint_path
     try:

@@ -248,6 +248,26 @@ def search_solutions(
     return hits
 
 
+def residue_survivors(cfg, k: int, moduli: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (q, alpha) of the search config cfg whose exact sigma(q^alpha) is a
+    residue k*r^2 mod every m in moduli: exactly the pairs the kernel must
+    test exactly.  In (q, alpha) order.
+    """
+    residues = {m: {k * r * r % m for r in range(m)} for m in moduli}
+    survivors = []
+    for q in primes_in(cfg.q_min, cfg.q_max):
+        if cfg.residue_filter not in (None, q % 4):
+            continue
+        sigma = power = 1
+        for alpha in range(1, cfg.alpha_max + 1):
+            power *= q
+            sigma += power
+            if alpha >= cfg.alpha_min and all(sigma % m in allowed
+                                              for m, allowed in residues.items()):
+                survivors.append((q, alpha))
+    return survivors
+
+
 def scan_shard_isqrt(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
     """The hits (q, alpha, n, split) for args = (primes, equation value,
     alpha_min, alpha_max), in the order of the primes, then of alpha.

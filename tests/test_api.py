@@ -31,8 +31,9 @@ def test_removed_names_are_gone():
                  "SHARD_PRIMES", "binomial", "vp", "unit_group", "divides", "sigma_table"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
-    assert not hasattr(oddperfect.search, "CheckpointState")
-    assert not hasattr(oddperfect.search, "SHARD_PRIMES")
+    for name in ("CheckpointState", "SHARD_PRIMES", "_MODULI", "_TABLE_FACTORS",
+                 "_RESIDUE_TABLES", "_residue_tables"):
+        assert not hasattr(oddperfect.search, name), name
     for name in ("unit_group", "divides", "UnitSign"):
         assert not hasattr(oddperfect.quadratic, name), name
     assert not hasattr(oddperfect.classify, "sigma_table")

@@ -180,9 +180,29 @@ class TestPrimesBetween:
 
     def test_default_segment_boundary(self):
         segment = arith._SIEVE_SEGMENT
-        for lo in (2, 1_000_003):
+        # at 10^9 the base primes above 256 cross out by scatter on both sides
+        for lo in (2, 1_000_003, 10**9 - segment // 2):
             for hi in (lo + segment - 1, lo + segment, lo + segment + 1):
                 assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+
+    def test_base_primes_either_side_of_256(self):
+        # 251 is the last base prime crossed out by a slice, 257 the first by scatter
+        for p in (251, 257, 263, 269):
+            for d in (-1, 0, 1):
+                for lo in (2, p * p - 1000, p * p + d):
+                    hi = p * p + d
+                    assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+        for lo, hi in ((62_000, 70_000), (251 * 251, 257 * 257), (2, 257 * 257 + 300)):
+            assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+
+    def test_large_base_primes_without_a_multiple(self):
+        # most base primes up to 31 622 have no multiple in 100 numbers at 10^9,
+        # and most up to 63 245 none in a segment of 7 numbers at 4e9
+        for lo, width in ((10**9, 100), (4 * 10**9 + 7, 30), (10**9 + 9, 0)):
+            assert primes_between(lo, lo + width).tolist() == primes_in(lo, lo + width)
+        with mock.patch.object(arith, "_SIEVE_SEGMENT", 7):
+            lo = 4 * 10**9 - 50
+            assert primes_between(lo, lo + 100).tolist() == primes_in(lo, lo + 100)
 
     def test_empty_and_degenerate_intervals(self):
         assert primes_between(-10, 1).tolist() == []

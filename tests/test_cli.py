@@ -4,11 +4,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from oddperfect import arith, cli
+import oddperfect
+from oddperfect import arith, cli, search
 from oddperfect.errors import ConsistencyError
 from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord, digest
 from _oracles import primes_in
@@ -381,6 +386,58 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli.run(["--help"]) == 0
+
+
+#: Address-space limit of the children below: 512 MB.
+_CHILD_AS = 512 << 20
+
+
+def _limit_address_space():
+    """Runs in the child between fork and exec: this process is not limited."""
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS, _CHILD_AS))
+
+
+def _limited_child(*args):
+    src = Path(oddperfect.__file__).resolve().parent.parent
+    # one BLAS thread: each thread's buffers would count against the limit
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, *args], env=env, preexec_fn=_limit_address_space,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestAlphaMaxBound:
+    """--alpha-max sizes the residue tables; past its bound it is a usage error."""
+
+    @pytest.mark.parametrize("alpha_max", ["10_001", "1_000_000", "100_000_000"])
+    def test_past_the_bound_exits_one_under_a_memory_limit(self, alpha_max):
+        done = _limited_child("-m", "oddperfect", "search", "--equation", "nsq",
+                              "--q-max", "100", "--alpha-max", alpha_max)
+        assert done.returncode == 1 and done.stdout == ""
+        value = int(alpha_max.replace("_", ""))
+        assert done.stderr == f"error: alpha_max must be <= 10000, got {value}\n"
+
+    def test_rejected_before_any_table_is_built(self, monkeypatch, capsys):
+        def refuse(k, words):
+            raise AssertionError(f"table built for {words} words")
+
+        monkeypatch.setattr(search, "_alpha_tables", refuse)
+        argv = ["search", "--equation", "nsq", "--q-max", "100", "--alpha-max"]
+        assert cli.run(argv + ["1_000_000_000"]) == 1
+        assert capsys.readouterr().err == "error: alpha_max must be <= 10000, got 1000000000\n"
+        with pytest.raises(AssertionError, match="157 words"):
+            cli.run(argv + ["10_000"])  # within the bound, the tables are built
+
+    def test_the_bound_itself_fits_under_the_limit(self):
+        done = _limited_child("-m", "oddperfect", "search", "--equation", "nsq",
+                              "--q-max", "100", "--alpha-max", "10_000")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-2] == "scanned_primes=24 skipped_even_alpha=0 hits=3"
+
+    def test_without_the_bound_the_tables_would_not_fit(self):
+        # the tables for alpha <= 10^8, which the bound keeps from being built
+        script = "import oddperfect.search as s; s._alpha_tables(1, 10**8 // 64 + 1)"
+        done = _limited_child("-c", script)
+        assert done.returncode == 1 and "MemoryError" in done.stderr
 
 
 def _forbidden_hits(cfg):

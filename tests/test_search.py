@@ -26,7 +26,13 @@ from oddperfect.search import (
     split_solution,
 )
 
-from _oracles import primes_in, scan_shard_isqrt, search_solutions, sigma_prime_power_sum
+from _oracles import (
+    primes_in,
+    residue_survivors,
+    scan_shard_isqrt,
+    search_solutions,
+    sigma_prime_power_sum,
+)
 
 #: Shard width that splits q <= 3000 into 4 shards, as many as the 128-prime
 #: shards these tests were written for.
@@ -182,24 +188,8 @@ def record_exact_tests(monkeypatch) -> list:
     return tested
 
 
-def residue_survivors(cfg: SearchConfig, k: int) -> list:
-    """The (q, alpha) of cfg whose exact sigma is a k*r^2 residue mod every
-    factor of both moduli: exactly the pairs the kernel must test exactly.
-    """
-    factors = (128, 63, 65, 11, 17, 19, 23, 29, 31, 37)
-    residues = {m: {k * r * r % m for r in range(m)} for m in factors}
-    survivors = []
-    for q in primes_in(cfg.q_min, cfg.q_max):
-        if cfg.residue_filter not in (None, q % 4):
-            continue
-        sigma = power = 1
-        for alpha in range(1, cfg.alpha_max + 1):
-            power *= q
-            sigma += power
-            if alpha >= cfg.alpha_min and all(sigma % m in allowed
-                                              for m, allowed in residues.items()):
-                survivors.append((q, alpha))
-    return survivors
+#: The residue sieve's moduli, listed here so that a change to them shows.
+SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
 
 
 class TestKernelAgainstOracle:
@@ -246,42 +236,74 @@ class TestKernelAgainstOracle:
 
     @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
     def test_q_beyond_the_square_root_of_int64(self, monkeypatch, equation, k):
-        # q^2 > 2^63 here, so the kernel must reduce q mod M before its first
-        # product; the window holds the 2nsq hit q = 2*46368^2 - 1 = 4299982847
+        # q^2 > 2^63 here; the window holds the 2nsq hit q = 2*46368^2 - 1 = 4299982847
         cfg = SearchConfig(equation, q_min=4_299_980_000, q_max=4_299_980_000 + (1 << 12) - 1,
                            alpha_max=101)
         assert cfg.q_min**2 > 2**63
         tested = record_exact_tests(monkeypatch)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
-        assert sorted(tested) == residue_survivors(cfg, k)
+        assert sorted(tested) == residue_survivors(cfg, k, SIEVE_MODULI)
 
     @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
     def test_large_q_and_alpha(self, monkeypatch, equation, k):
-        # sigma mod M for q ~ 1e8 and alpha up to 101 needs the int64 products;
-        # the window holds the 2nsq hit q = 2*7076^2 - 1 = 100139551
+        # alpha up to 101 spans two words of the tables; the window holds the
+        # 2nsq hit q = 2*7076^2 - 1 = 100139551
         cfg = SearchConfig(equation, q_min=100_100_000, q_max=100_100_000 + (1 << 16) - 1,
                            alpha_max=101)
         tested = record_exact_tests(monkeypatch)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
-        assert sorted(tested) == residue_survivors(cfg, k)
+        assert sorted(tested) == residue_survivors(cfg, k, SIEVE_MODULI)
         if equation is Equation.TWO_N_SQUARED:
-            # odd stepping: no even alpha is ever stepped to, let alone tested
+            # an even alpha makes sigma odd: none is ever tested
             assert tested and all(alpha % 2 for _, alpha in tested)
 
-    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
-    def test_residue_tables(self, equation, k):
-        tables = oddperfect.search._RESIDUE_TABLES[equation.value]
-        assert [len(table) for table in tables] == [128, 45045, 215441, 1147]
-        # row 0 of the state is read by the first two tables, row 1 by the last two
-        assert oddperfect.search._MODULI.ravel().tolist() == [128 * 45045, 215441 * 1147]
-        for table in tables:
-            m = len(table)
-            assert set(table.nonzero()[0].tolist()) == {k * r * r % m for r in range(m)}
+    def test_sieve_moduli(self):
+        assert oddperfect.search._SIEVE_MODULI == SIEVE_MODULI
 
-    def test_steps_cannot_overflow(self):
-        # a step's S*B + A, residues below m, stays below m^2 + m
-        m = int(oddperfect.search._MODULI.max())
-        assert m * m + m < 2**63
+
+class TestAlphaTables:
+    @pytest.mark.parametrize("k", [2, 1])
+    def test_every_bit_against_exact_sigma(self, k):
+        # alpha <= 130 crosses the word boundaries at 64 and 128
+        table = oddperfect.search._alpha_tables(k, 3)
+        assert table.shape == (sum(SIEVE_MODULI), 3)
+        rows = iter(table.tolist())
+        for m in SIEVE_MODULI:
+            squares = {k * x * x % m for x in range(m)}
+            for r in range(m):
+                words, sigma = next(rows), 0
+                for alpha in range(131):
+                    sigma += r**alpha  # sigma(r^alpha), exact: 0^0 = 1
+                    bit = words[alpha // 64] >> alpha % 64 & 1
+                    assert bit == (sigma % m in squares), (k, m, r, alpha)
+
+    @pytest.mark.parametrize("equation", list(Equation))
+    @pytest.mark.parametrize("alpha_min, alpha_max", [
+        (1, 1), (1, 63), (3, 64), (2, 130), (63, 128), (64, 64), (101, 1001),
+    ])
+    def test_alpha_window(self, equation, alpha_min, alpha_max):
+        cfg = SearchConfig(equation, alpha_min=alpha_min, alpha_max=alpha_max)
+        table, window = oddperfect.search._alpha_masks(cfg)
+        words = window.tolist()
+        assert len(words) == table.shape[1] == alpha_max // 64 + 1
+        got = {a for a in range(64 * len(words)) if words[a // 64] >> a % 64 & 1}
+        # 2nsq never sets an even alpha's bit: it makes sigma odd
+        odd = equation is Equation.TWO_N_SQUARED
+        assert got == {a for a in range(alpha_min, alpha_max + 1) if a % 2 or not odd}
+
+    def test_tables_are_shared_and_read_only(self):
+        table, _ = oddperfect.search._alpha_masks(two_nsq(alpha_max=101))
+        assert table is oddperfect.search._alpha_masks(two_nsq(alpha_min=7, alpha_max=127))[0]
+        assert not table.flags.writeable
+
+
+class TestAlphaBound:
+    def test_bound_is_enforced(self):
+        bound = oddperfect.search.ALPHA_MAX_BOUND
+        assert bound == 10_000
+        assert nsq(alpha_max=bound).alpha_max == bound
+        with pytest.raises(ValueError, match="alpha_max must be <= 10000"):
+            nsq(alpha_max=bound + 1)
 
 
 class TestCoverageAccounting:
@@ -399,6 +421,23 @@ class TestWorkerCap:
         assert fake_pool.sizes == [2]
         assert fake_pool.peak == 4 and fake_pool.in_flight == 0
         assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
+
+
+    def test_tables_are_built_before_the_pool_starts(self, monkeypatch, fake_pool):
+        # forked workers inherit them instead of each building its own
+        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        tables, built = oddperfect.search._alpha_tables, []
+        fake = oddperfect.search.ProcessPoolExecutor
+
+        def pool(*args, **kwargs):
+            built.append(tables.cache_info().currsize)
+            return fake(*args, **kwargs)
+
+        monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", pool)
+        tables.cache_clear()
+        run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
+        assert built == [1]
 
 
 _real_scan_shard = oddperfect.search._scan_shard
