@@ -109,6 +109,13 @@ def primality_is_proven(n: int) -> bool:
     return n < DETERMINISTIC_PRIME_BOUND
 
 
+def mark_primality(data: dict, proven: bool) -> dict:
+    """data with ``"primality": "probable"`` added last unless its report is proven."""
+    if not proven:
+        data["primality"] = "probable"
+    return data
+
+
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, as a list of ints."""
     return primes_between(2, limit).tolist()

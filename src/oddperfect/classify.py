@@ -16,6 +16,7 @@ from .arith import (
     Factorization,
     factorize,
     isqrt_exact,
+    mark_primality,
     primality_is_proven,
     primes_upto,
     sigma,
@@ -175,17 +176,14 @@ class ChenLuoRecord:
     primality_proven: bool = True  # False: a prime factor only passed a probable-prime test
 
     def as_dict(self) -> dict:
-        data = {
+        return mark_primality({
             "s": self.s,
             "terms": [
                 {"p": p, "alpha": alpha, "a": a, "b": b}
                 for p, alpha, a, b in self.terms
             ],
             "v2_sigma": self.v2_sigma,
-        }
-        if not self.primality_proven:
-            data["primality"] = "probable"
-        return data
+        }, self.primality_proven)
 
 
 def chenluo_check(n: int) -> ChenLuoRecord:
@@ -201,20 +199,20 @@ def chenluo_check(n: int) -> ChenLuoRecord:
 
 
 def _chenluo_check(n: int, f: Factorization) -> ChenLuoRecord:
-    terms = tuple(
-        (p, e, v2(p + 1) - 1, v2(e + 1) - 1) for p, e in f if e % 2
-    )
-    s = len(terms)
-    budget = s + sum(a for _, _, a, _ in terms) + sum(b for _, _, _, b in terms)
+    terms = [(p, e, v2(p + 1) - 1, v2(e + 1) - 1) for p, e in f if e % 2]
+    budget = sum(1 + a + b for _, _, a, b in terms)
     direct = v2(sigma(f))
     if budget != direct:
         raise ConsistencyError(
             f"valuation ledger {budget} != direct v2(sigma({n})) = {direct}"
         )
-    # the largest prime, last in f, is the one that can pass the proven bound
-    return ChenLuoRecord(
-        s=s, terms=terms, v2_sigma=direct, primality_proven=primality_is_proven(f.factors[-1][0])
-    )
+    # tuple of a list: tuple(<generator>) strands tuples in CPython's free lists
+    return ChenLuoRecord(len(terms), tuple(terms), direct, _rests_on_proven(f))
+
+
+def _rests_on_proven(f: Factorization) -> bool:
+    # primes ascend and proof is one bound, so the largest decides; 1 has none
+    return not f.factors or primality_is_proven(f.factors[-1][0])
 
 
 def omega_bound_product(count: int) -> int:
@@ -249,17 +247,14 @@ class ClassifyReport:
         def triple(value, names):
             return dict(zip(names, value)) if value is not None else None
 
-        data = {
+        return mark_primality({
             "n": self.n,
             "sigma": self.sigma,
             "k": self.k,
             "euler_form": triple(self.euler_form, ("n0", "q", "alpha")),
             "dhp": triple(self.dhp, ("m", "q", "alpha")),
             "chenluo": self.chenluo.as_dict() if self.chenluo else None,
-        }
-        if not self.primality_proven:
-            data["primality"] = "probable"
-        return data
+        }, self.primality_proven)
 
 
 def classify_report(n: int) -> ClassifyReport:
@@ -275,5 +270,5 @@ def classify_report(n: int) -> ClassifyReport:
         euler_form=_euler_form(n, f) if n % 2 else None,
         dhp=_dhp_decompose(n, f) if n >= 2 else None,
         chenluo=_chenluo_check(n, f) if n % 2 and n >= 3 else None,
-        primality_proven=all(primality_is_proven(p) for p, _ in f),
+        primality_proven=_rests_on_proven(f),
     )

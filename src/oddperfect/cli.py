@@ -14,6 +14,7 @@ Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .classify import (
@@ -130,6 +131,7 @@ def _cmd_bound(args):
     return params, [{"count": args.count, "value": value}], {"value": value}, [value], []
 
 
+@functools.cache  # the parser holds no per-call state: build it once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="oddperfect", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)

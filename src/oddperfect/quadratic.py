@@ -13,8 +13,12 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add
 
-from .arith import is_prime, primality_is_proven, primes_upto, v2
+from .arith import is_prime, mark_primality, primality_is_proven, primes_upto, v2
 from .errors import ConsistencyError
+
+#: The largest alpha two_adic_certificate accepts: its report lists about
+#: alpha / 4 summands, and with its as_dict peaks near 115 MB at this bound.
+ALPHA_BOUND = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -175,17 +179,13 @@ class CertificateReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        data = {
+        return mark_primality({
             "q": self.q,
             "alpha": self.alpha,
             "summands": [{"i": i, "v2": v} for i, v in self.summands],
             "v2_total": self.v2_total,
             "passed": self.passed,
-        }
-        if not primality_is_proven(self.q):
-            # q only passed a strong-probable-prime test; say so in the record
-            data["primality"] = "probable"
-        return data
+        }, primality_is_proven(self.q))
 
 
 def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
@@ -206,6 +206,8 @@ def two_adic_certificate(q: int, alpha: int) -> CertificateReport:
         raise ValueError(f"q must be 1 mod 4, got {q} = {q % 4} mod 4")
     if alpha % 2 == 0 or alpha < 3:
         raise ValueError(f"alpha must be odd and >= 3, got {alpha}")
+    if alpha > ALPHA_BOUND:
+        raise ValueError(f"alpha must be <= {ALPHA_BOUND}, got {alpha}")
     t = v2(q - 1)
     m = (alpha - 3) // 2
     top = (alpha + 1) // 4 + 1  # summands i = 2 .. top - 1

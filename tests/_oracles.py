@@ -116,6 +116,16 @@ def v2_int(n: int) -> int:
     return len(digits) - len(digits.rstrip("0"))
 
 
+def chenluo_terms(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, e, v2(p+1) - 1, v2(e+1) - 1) for each prime p of odd exponent e in
+    n, ascending in p: the Chen-Luo ledger, read off trial division."""
+    return tuple(
+        (p, e, v2_int(p + 1) - 1, v2_int(e + 1) - 1)
+        for p, e in sorted(factor_trial(n).items())
+        if e % 2
+    )
+
+
 def certificate_rational(q: int, alpha: int) -> tuple[tuple[tuple[int, int], ...], int, bool]:
     """S = 1 + sum_{i=2}^{(alpha+1)//4} t_i with every term an exact Fraction,
 

@@ -94,3 +94,32 @@ def test_modules_import_no_private_names():
         if alias.name.startswith("_")
     ]
     assert found == []
+
+
+def test_probable_marker_has_one_literal():
+    # every report marks a probable prime through arith.mark_primality; docstrings
+    # that mention the marker are whole-docstring constants and do not count
+    package = Path(oddperfect.__file__).resolve().parent
+    found = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == "probable"
+    ]
+    assert found == ["arith.py"]
+
+
+def test_every_report_marks_the_same_probable_prime():
+    q = 10**25 + 13  # strong probable prime above DETERMINISTIC_PRIME_BOUND, 1 mod 4
+    assert q % 4 == 1 and q >= oddperfect.DETERMINISTIC_PRIME_BOUND
+    reports = (
+        oddperfect.two_adic_certificate(q, 7),
+        oddperfect.chenluo_check(3 * q),
+        oddperfect.classify_report(3 * q),
+    )
+    for report in reports:
+        data = report.as_dict()
+        assert list(data)[-1] == "primality" and data["primality"] == "probable", report
+    assert not reports[1].primality_proven and not reports[2].primality_proven
+    unit = oddperfect.classify_report(1)  # the empty factorization rests on no prime
+    assert unit.primality_proven and "primality" not in unit.as_dict()

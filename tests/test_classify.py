@@ -20,7 +20,7 @@ from oddperfect.classify import (
     omega_bound_product,
 )
 from oddperfect.search import canonical_json
-from _oracles import factor_trial, sigma_divisor_sum, v2_int
+from _oracles import chenluo_terms, factor_trial, sigma_divisor_sum, v2_int
 
 
 class TestAbundancy:
@@ -202,6 +202,15 @@ class TestChenLuo:
             record = chenluo_check(n)
             assert record.v2_sigma == v2_int(sigma_divisor_sum(n))
             assert record.s + sum(t[2] + t[3] for t in record.terms) == record.v2_sigma
+
+    def test_terms_match_trial_division(self):
+        # the whole ledger, not only its total, which would not see a and b swapped
+        for n in range(3, 20_001, 2):
+            assert chenluo_check(n).terms == chenluo_terms(n), n
+        rng = random.Random(1709)
+        for _ in range(500):
+            n = rng.randrange(1, 5 * 10**8) * 2 + 1
+            assert chenluo_check(n).terms == chenluo_terms(n), n
 
     def test_never_raises_on_small_sweep(self):
         for n in range(3, 30_001, 2):

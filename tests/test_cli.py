@@ -440,6 +440,28 @@ class TestAlphaMaxBound:
         assert done.returncode == 1 and "MemoryError" in done.stderr
 
 
+class TestCertifyAlphaBound:
+    """certify lists about alpha / 4 summands; past its bound alpha is a usage error."""
+
+    @pytest.mark.parametrize("alpha", ["1_000_003", "1_000_000_001"])
+    def test_past_the_bound_exits_one_under_a_memory_limit(self, alpha):
+        done = _limited_child("-m", "oddperfect", "certify", "--q", "5", "--alpha", alpha)
+        assert done.returncode == 1 and done.stdout == ""
+        value = int(alpha.replace("_", ""))
+        assert done.stderr == f"error: alpha must be <= 1000001, got {value}\n"
+
+    def test_the_bound_itself_fits_under_the_limit(self):
+        done = _limited_child("-m", "oddperfect", "certify", "--q", "5", "--alpha",
+                              "1_000_001", "--format", "jsonl")
+        assert done.returncode == 0, done.stderr
+        record, summary = map(json.loads, done.stdout.splitlines())
+        assert len(record["summands"]) == 249_999 and summary["passed"] is True
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
 def _forbidden_hits(cfg):
     # two hits the q = 1 mod 4 theorem rules out, as a broken kernel would report them
     records = (
