@@ -54,12 +54,9 @@ _TABLE_BOUND = 1 << 20
 #: factorize trial-divides by the primes below this bound; a cofactor with no
 #: such factor that is below the bound squared is therefore prime.
 _TRIAL_BOUND = 1 << 16
-#: Primes per trial block: one gcd with their product tests them all at once.
-_TRIAL_BLOCK = 32
-#: Blocks per trial group: one gcd of the cofactor with the group's product
-#: tests its 256 primes; only a group that shares a factor with it is split
-#: into blocks, and then against that small shared factor.
-_TRIAL_GROUP = 8
+#: Primes per trial group: one gcd of the cofactor with their product tests
+#: them all at once.
+_TRIAL_GROUP = 256
 #: Pollard-Brent rho gives up on a polynomial x^2 + k once its cycle length
 #: would pass this cap (at most about 4 * _RHO_STEPS squarings per k).
 _RHO_STEPS = 1 << 18
@@ -220,92 +217,82 @@ def _spf_table() -> memoryview:
 
 
 @functools.cache
-def _trial_blocks() -> tuple[tuple[int, int, tuple[tuple[int, tuple[int, ...]], ...]], ...]:
-    """The trial primes as groups of _TRIAL_GROUP blocks of _TRIAL_BLOCK.
-
-    Each group is (least prime squared, product, blocks) and each block
-    (product, primes).  Built on the first factorize call, not at import.
-    """
+def _trial_groups() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The primes below _TRIAL_BOUND in groups of _TRIAL_GROUP, each as
+    (least prime squared, product, primes).  Built on the first factorize call
+    at or above _TABLE_BOUND, not at import."""
     primes = primes_upto(_TRIAL_BOUND - 1)
-    blocks = [
-        (math.prod(primes[i : i + _TRIAL_BLOCK]), tuple(primes[i : i + _TRIAL_BLOCK]))
-        for i in range(0, len(primes), _TRIAL_BLOCK)
-    ]
-    groups = (blocks[i : i + _TRIAL_GROUP] for i in range(0, len(blocks), _TRIAL_GROUP))
-    return tuple(
-        (group[0][1][0] ** 2, math.prod(product for product, _ in group), tuple(group))
-        for group in groups
-    )
+    groups = (tuple(primes[i : i + _TRIAL_GROUP]) for i in range(0, len(primes), _TRIAL_GROUP))
+    return tuple((group[0] ** 2, math.prod(group), group) for group in groups)
+
+
+def _strip(c: int, p: int, factors: list[tuple[int, int]]) -> int:
+    """c with every factor p divided out; (p, the exponent) goes to factors."""
+    e = 0
+    while c % p == 0:
+        c, e = c // p, e + 1
+    factors.append((p, e))
+    return c
 
 
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1: a table chain, or trial division then Pollard-Brent rho.
+    """Factor n >= 1 by one path: trial division, Pollard-Brent rho, a table chain.
 
-    Below ``_TABLE_BOUND`` the 2s go by ``v2`` and the odd part follows the
-    smallest-prime-factor table's chain of least prime factors.  Above it,
-    primes below ``_TRIAL_BOUND`` are tried 256 at a time with one gcd per
-    group; only a group that shares a factor with the cofactor is split into
-    blocks of 32, each tested against that shared factor.  Trial stops early
-    once the cofactor is prime.  A cofactor left with no factor below the
-    bound is prime when it is below the bound squared or passes ``is_prime``;
-    otherwise rho splits it.  Every prime is sieved or proven once, so the
-    result skips the constructor's re-check.  Only when rho runs past its
-    step cap with every constant does FactorBoundError replace a wrong
-    answer.
+    The 2s go by ``v2``.  An odd cofactor at or above ``_TABLE_BOUND`` that
+    ``is_prime`` rejects is tried against the primes below ``_TRIAL_BOUND``,
+    256 at a time with one gcd per group.  That gcd is the product of the
+    group's primes that divide the cofactor: a scan of the group's primes
+    splits it while it is at or above ``_TABLE_BOUND``, and the
+    smallest-prime-factor table's chain of least prime factors splits the
+    rest.  Trial stops once the cofactor is prime: below the next group's
+    least prime squared, as every cofactor a hit takes below ``_TABLE_BOUND``
+    is, or accepted by ``is_prime``.  A cofactor left with no factor below the
+    trial bound is prime when it is below the bound squared or passes
+    ``is_prime``; otherwise rho splits it.  The same table chain finishes a
+    cofactor below ``_TABLE_BOUND``, all of the odd part of a smaller n.
+    Every prime is sieved or proven once, so the result skips the
+    constructor's re-check.  Only when rho runs past its step cap with every
+    constant does FactorBoundError replace a wrong answer.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
-    factors: list[tuple[int, int]] = []
-    c = n
-    if n < _TABLE_BOUND:
-        spf, e = _spf_table(), v2(n)
-        factors, c = [(2, e)] if e else [], n >> e
-        while c > 1:
-            p, e = spf[c >> 1] or c, 0
-            while c % p == 0:
-                c, e = c // p, e + 1
-            factors.append((p, e))
-        return _proven(factors)  # every table prime comes from the sieve
+    spf, e = _spf_table(), v2(n)
+    factors, c = [(2, e)] if e else [], n >> e
     composite = False  # is_prime has rejected this c
-    for least_square, product, blocks in _trial_blocks():
+    for least_square, product, primes in _trial_groups() if c >= _TABLE_BOUND else ():
         if c < least_square:
             break  # c is 1 or a prime: no factor up to its square root
         # big prime cofactors are common; skip the remaining groups
-        if not composite and c >= _TRIAL_BOUND:
+        if not composite:
             if is_prime(c):
                 break
             composite = True
         g = math.gcd(c, product)
         if g == 1:
             continue
-        for block_product, block in blocks:
-            h = math.gcd(g, block_product)
-            if h == 1:
-                continue
-            g //= h
-            for p in block:
-                if h % p == 0:
-                    c //= p
-                    e = 1
-                    while c % p == 0:
-                        c //= p
-                        e += 1
-                    factors.append((p, e))  # a trial prime comes from the sieve
-                    h //= p
-                    if h == 1:
-                        break
-            if g == 1:
+        # g is odd, the product of the group's primes that divide c
+        for p in primes:
+            if g < _TABLE_BOUND:
                 break
+            if g % p == 0:
+                g //= p
+                c = _strip(c, p, factors)
+        while g > 1:
+            p = spf[g >> 1] or g
+            g //= p
+            c = _strip(c, p, factors)
         composite = False
     else:
-        # no prime below the bound divides c
+        # no prime below the trial bound divides c
         if c >= _TRIAL_BOUND**2 and (composite or not is_prime(c)):
             factors += _rho_factors(c, n)
             c = 1
+    while 1 < c < _TABLE_BOUND:
+        c = _strip(c, spf[c >> 1] or c, factors)
     # c > 1 has no factor up to its square root, or is_prime has just accepted it
     if c > 1:
         factors.append((c, 1))
-    return _proven(factors)
+    return _proven(factors)  # table and trial primes come from the sieve
 
 
 def _rho_factors(c: int, n: int) -> list[tuple[int, int]]:

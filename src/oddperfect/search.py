@@ -45,6 +45,9 @@ _SIEVE_ROWS = np.cumsum(_SIEVE_M, axis=0) - _SIEVE_M
 #: The largest alpha_max a search accepts: the tables and each shard's mask
 #: hold alpha_max // 64 + 1 words per row.  The paper's runs use alpha <= 1001.
 ALPHA_MAX_BOUND = 10_000
+#: The largest q_max a search accepts: the sieve holds every base prime below
+#: sqrt(q_max), 16 MB of them at the bound, and its int64 arithmetic stays exact.
+Q_MAX_BOUND = 1 << 48
 
 
 class Equation(str, enum.Enum):
@@ -91,6 +94,8 @@ class SearchConfig:
             raise ValueError(f"equation must be an Equation member, got {self.equation!r}")
         if self.q_min > self.q_max:
             raise ValueError(f"q_min {self.q_min} > q_max {self.q_max}")
+        if self.q_max > Q_MAX_BOUND:
+            raise ValueError(f"q_max must be <= {Q_MAX_BOUND}, got {self.q_max}")
         if self.alpha_min < 1:
             # alpha = 0 would make sigma(q^0) = 1 = 1^2 a degenerate hit
             raise ValueError(f"alpha_min must be >= 1, got {self.alpha_min}")

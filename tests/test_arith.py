@@ -321,15 +321,32 @@ def _check_against_oracle(n: int) -> None:
 
 class TestFactorizeTrustedPath:
     """factorize skips the constructor's checks: its output at the edges of
-    the trial blocks and groups and of the trial bound, against the oracle."""
+    the trial groups, the table and the trial bound, against the oracle."""
 
     def test_block_and_group_edges(self):
         primes = primes_in(0, 2000)
-        edges = [primes[i] for i in (31, 32, 255, 256)]  # 32nd/33rd, 256th/257th
+        # 32nd/33rd and 256th/257th: the first group's edge, and primes inside it
+        edges = [primes[i] for i in (31, 32, 255, 256)]
         assert edges == [131, 137, 1619, 1621]
         for p, q in itertools.combinations_with_replacement(edges, 2):
             for cofactor in (1, 3, 65537, 4_294_967_311):
                 _check_against_oracle(p * q * cofactor)
+
+    def test_group_gcd_at_or_above_the_table_bound(self):
+        # 1009 * 1013 * 1019 >= 2^20: the group's primes are scanned until the
+        # gcd drops below the table bound, and the table splits the rest
+        for n in (1009 * 1013 * 1019 * 65537, 3 * 1009 * 1013 * 1019 * 65537, 3 * 1021 * 1031,
+                  1621 * 1627 * 1637, 3 * 5 * 7 * 11 * 13 * 17 * 4_294_967_311):
+            _check_against_oracle(n)
+
+    def test_cofactor_either_side_of_the_table_bound_after_a_hit(self):
+        below, above = 1_048_573, 1_048_583  # the primes either side of 2^20
+        assert below == max(primes_in(1_048_000, 1 << 20)) and above == _prime_from(1 << 20)
+        for p in (below, above):
+            for small in (3, 3**3 * 5 * 7**2, 1621 * 1627, 3 * 1621, 65521):
+                _check_against_oracle(small * p)
+        # the table's chain finishes a cofactor that a hit takes below 2^20
+        _check_against_oracle(3**3 * 5 * 7**2 * 11 * 13 * 1621)
 
     def test_trial_bound_edge(self):
         below, above = 65521, 65537  # the primes either side of 2^16
@@ -376,6 +393,20 @@ class TestFactorizeProvesOnce:
             factorize(n)
             assert all(m >= arith._TRIAL_BOUND for m in seen if m != n), n
 
+    def test_a_prime_cofactor_ends_trial_before_rho(self, monkeypatch):
+        # after the hit in the first group, is_prime accepts the cofactor at
+        # the second; trial never runs out of groups, and rho is never called
+        monkeypatch.setattr(arith, "_rho_factors", None)  # a call would raise TypeError
+        p = 999_999_999_989
+        assert factorize(3 * 5 * 7 * p).factors == ((3, 1), (5, 1), (7, 1), (p, 1))
+
+    def test_no_call_for_a_cofactor_below_the_next_least_square(self, monkeypatch):
+        # the cofactor 1048583 left after 3 is above the table bound but below
+        # 1621^2, the next group's least prime squared: it is prime unproven
+        seen = self._count(monkeypatch)
+        assert factorize(3 * 1_048_583).factors == ((3, 1), (1_048_583, 1))
+        assert seen == [3 * 1_048_583]
+
 
 class TestFactorizeSympy:
     """An optional second opinion on inputs too large for trial division."""
@@ -399,10 +430,11 @@ class TestFactorizeIsLazy:
     def test_import_builds_no_trial_table(self):
         # import builds neither table; a factorize below _TABLE_BOUND builds
         # only the smallest-prime-factor table, one above it the trial groups
+        # too
         code = (
             "import oddperfect, oddperfect.arith as a\n"
             "def built():\n"
-            "    print(a._spf_table.cache_info().currsize, a._trial_blocks.cache_info().currsize)\n"
+            "    print(a._spf_table.cache_info().currsize, a._trial_groups.cache_info().currsize)\n"
             "built()\n"
             "oddperfect.factorize(91)\n"
             "built()\n"

@@ -440,6 +440,36 @@ class TestAlphaMaxBound:
         assert done.returncode == 1 and "MemoryError" in done.stderr
 
 
+class TestQMaxBound:
+    """The sieve holds every base prime below sqrt(q_max); past its bound q_max is a usage error."""
+
+    @pytest.mark.parametrize("q_max", ["281_474_976_710_657", "1_000_000_000_000_000_000"])
+    def test_past_the_bound_exits_one_under_a_memory_limit(self, q_max):
+        done = _limited_child("-m", "oddperfect", "search", "--equation", "nsq",
+                              "--q-max", q_max, "--alpha-max", "3")
+        assert done.returncode == 1 and done.stdout == ""
+        value = int(q_max.replace("_", ""))
+        assert done.stderr == f"error: q_max must be <= 281474976710656, got {value}\n"
+
+    def test_rejected_before_any_sieve_is_built(self, monkeypatch, capsys):
+        def refuse(lo, hi):
+            raise AssertionError(f"sieve built up to {hi}")
+
+        monkeypatch.setattr(search, "primes_between", refuse)
+        argv = ["search", "--equation", "nsq", "--alpha-max", "3", "--q-max"]
+        assert cli.run(argv + [str(10**18)]) == 1
+        assert capsys.readouterr().err == f"error: q_max must be <= {1 << 48}, got {10**18}\n"
+
+    def test_a_range_ending_at_the_bound_fits_under_the_limit(self):
+        bound = search.Q_MAX_BOUND
+        assert bound == 1 << 48
+        done = _limited_child("-m", "oddperfect", "search", "--equation", "nsq", "--q-min",
+                              str(bound - 200), "--q-max", str(bound), "--alpha-max", "3")
+        assert done.returncode == 0, done.stderr
+        assert sum(map(arith.is_prime, range(bound - 200, bound + 1))) == 7
+        assert done.stdout.splitlines()[-2] == "scanned_primes=7 skipped_even_alpha=0 hits=0"
+
+
 class TestCertifyAlphaBound:
     """certify lists about alpha / 4 summands; past its bound alpha is a usage error."""
 
