@@ -44,7 +44,6 @@ from .quadratic import (
     two_adic_certificate,
 )
 from .search import (
-    Equation,
     SearchConfig,
     SearchReport,
     SolutionRecord,

@@ -120,7 +120,8 @@ def primes_upto(limit: int) -> list[int]:
 
 @functools.cache
 def _base_primes(bits: int) -> tuple[list[int], np.ndarray]:
-    """The primes below 2^bits, for any hi below 4^bits: those below 256 as a list."""
+    """The primes below 2^bits, those below 256 as a list: the base primes of
+    any hi with isqrt(hi) <= 2^bits, for bits >= 2."""
     base = primes_between(2, (1 << bits) - 1)
     k = np.searchsorted(base, 256)
     return base[:k].tolist(), base[k:]
@@ -141,7 +142,8 @@ def primes_between(lo: int, hi: int) -> np.ndarray:
     if hi < lo:
         return np.empty(0, dtype=np.int64)
     root = math.isqrt(hi)
-    small, large = _base_primes(root.bit_length())
+    # the primes <= root are below 2^bits; root = 2, itself prime, needs 2 bits
+    small, large = _base_primes((root - 1).bit_length() + (root == 2))
     large = large[: np.searchsorted(large, root, side="right")]
     segments = []
     for start in range(lo, hi + 1, _SIEVE_SEGMENT):

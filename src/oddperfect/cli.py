@@ -25,7 +25,7 @@ from .classify import (
 )
 from .errors import CheckpointError, ConsistencyError, FactorBoundError
 from .quadratic import identity_sweep, two_adic_certificate
-from .search import Equation, SearchConfig, canonical_json, digest, jsonl, run_search
+from .search import EQUATIONS, SearchConfig, canonical_json, digest, jsonl, run_search
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 # theorem violation.  run alone hashes, emits and judges them.
 def _cmd_search(args):
     cfg = SearchConfig(
-        equation=Equation(args.equation),
+        k=next(k for k, name in EQUATIONS.items() if name == args.equation),
         q_min=args.q_min,
         q_max=args.q_max,
         alpha_min=args.alpha_min,
@@ -68,10 +68,9 @@ def _cmd_search(args):
         f"skipped_even_alpha={summary['skipped_even_alpha']} hits={summary['hits']}"
     )
     violations = [
-        f"{r.equation.value} hit at q={r.q} alpha={r.alpha} n={r.n} with q = 1 mod 4"
+        f"{EQUATIONS[r.k]} hit at q={r.q} alpha={r.alpha} n={r.n} with q = 1 mod 4"
         for r in report.records
-        if r.q % 4 == 1
-        and (r.alpha > 1 if r.equation is Equation.TWO_N_SQUARED else True)
+        if r.q % 4 == 1 and (r.alpha > 1 or r.k == 1)
     ]
     return cfg.identity(), [r.as_dict() for r in report.records], summary, text, violations
 

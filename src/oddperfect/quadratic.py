@@ -19,6 +19,9 @@ from .errors import ConsistencyError
 #: The largest alpha two_adic_certificate accepts: its report lists about
 #: alpha / 4 summands, and with its as_dict peaks near 115 MB at this bound.
 ALPHA_BOUND = 1_000_001
+#: The largest q_max identity_sweep accepts: it lists every prime up to q_max
+#: first; at this bound a sweep with m_max = 1 takes about 1 s (2-CPU Intel Xeon).
+SWEEP_Q_BOUND = 10**6
 
 
 @dataclass(frozen=True)
@@ -134,12 +137,15 @@ def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[
     trace_expansion(m, 1 - q) is compared with the traces of (1 + sqrt(1-q))^m
     and (1 - sqrt(1-q))^m for primes q <= q_max and 1 <= m <= m_max; the
     ratio identity is checked for 4 <= m <= ratio_m_max and 2 <= i <= m/2.
-    A negative bound raises ValueError: it would make the sweep pass vacuously.
+    A negative bound raises ValueError: it would make the sweep pass vacuously;
+    so does q_max above SWEEP_Q_BOUND.
     """
     if min(m_max, q_max, ratio_m_max) < 0:
         raise ValueError(
             f"bounds must be >= 0, got m_max={m_max} q_max={q_max} ratio_m_max={ratio_m_max}"
         )
+    if q_max > SWEEP_Q_BOUND:
+        raise ValueError(f"q_max must be <= {SWEEP_Q_BOUND}, got {q_max}")
     trace_checked = trace_failed = 0
     for q in primes_upto(q_max):
         d = 1 - q

@@ -1,23 +1,23 @@
 """Exhaustive, resumable searches for sigma(q^alpha) = 2n^2 and = n^2.
 
 The scan walks primes q in a range and exponents alpha in a range, testing
-whether sigma(q^alpha) is twice a square (TWO_N_SQUARED) or a square
-(N_SQUARED).  Work is sharded into contiguous q-intervals of SHARD_WIDTH
-numbers, each of which sieves its own primes, so the merged output is
-byte-identical for any worker count, which is what makes golden-file and
-resume testing possible.
+whether sigma(q^alpha) = k*n^2 for the configured k: twice a square (k = 2,
+"2nsq") or a square (k = 1, "nsq").  Work is sharded into contiguous
+q-intervals of SHARD_WIDTH numbers, each of which sieves its own primes, so
+the merged output is byte-identical for any worker count, which is what
+makes golden-file and resume testing possible.
 
 sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
 and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
-mod m (k = 2 or 1; H. Cohen, A Course in Computational Algebraic Number
-Theory, Alg. 1.7.3, along the alpha axis).  A shard ANDs each prime's masks
-and the alpha range (odd alpha only for 2n^2: an even one makes sigma odd);
-only the alphas whose bit survives get the exact sigma and square test.
+mod m (H. Cohen, A Course in Computational Algebraic Number Theory,
+Alg. 1.7.3, along the alpha axis).  A shard ANDs each prime's masks and the
+alpha range; only the alphas whose bit survives get the exact sigma and
+square test.  For k = 2 the mod-128 masks already clear every even alpha:
+it makes sigma odd, and 2x^2 mod 128 is even.
 """
 from __future__ import annotations
 
 import collections
-import enum
 import functools
 import hashlib
 import json
@@ -50,11 +50,9 @@ ALPHA_MAX_BOUND = 10_000
 Q_MAX_BOUND = 1 << 48
 
 
-class Equation(str, enum.Enum):
-    """Which Diophantine equation the scan tests."""
-
-    TWO_N_SQUARED = "2nsq"  # 2n^2 = sigma(q^alpha)
-    N_SQUARED = "nsq"  # n^2 = sigma(q^beta)
+#: The equations sigma(q^alpha) = k*n^2 a search tests, by k: each one's name
+#: in identity(), the records and the CLI.
+EQUATIONS = {2: "2nsq", 1: "nsq"}
 
 
 @functools.cache
@@ -80,7 +78,7 @@ def _alpha_tables(k: int, words: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    equation: Equation
+    k: int
     q_min: int = 3
     q_max: int = 50_000
     alpha_min: int = 1
@@ -90,8 +88,9 @@ class SearchConfig:
     checkpoint_path: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.equation, Equation):
-            raise ValueError(f"equation must be an Equation member, got {self.equation!r}")
+        # type(k) is int: True and 2.0 compare equal to a key but name no equation
+        if type(self.k) is not int or self.k not in EQUATIONS:
+            raise ValueError(f"k must be one of {sorted(EQUATIONS)}, got {self.k!r}")
         if self.q_min > self.q_max:
             raise ValueError(f"q_min {self.q_min} > q_max {self.q_max}")
         if self.q_max > Q_MAX_BOUND:
@@ -111,7 +110,7 @@ class SearchConfig:
     def identity(self) -> dict:
         """The fields that define what is searched (not how)."""
         fields = ("q_min", "q_max", "alpha_min", "alpha_max", "residue_filter")
-        return {"equation": self.equation.value, **{f: getattr(self, f) for f in fields}}
+        return {"equation": EQUATIONS[self.k], **{f: getattr(self, f) for f in fields}}
 
     def config_hash(self) -> str:
         """Digest of identity(): runs that differ only in how they run report alike."""
@@ -120,9 +119,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SolutionRecord:
-    """One (q, alpha, n) satisfying the configured equation exactly."""
+    """One (q, alpha, n) with sigma(q^alpha) = k*n^2 exactly."""
 
-    equation: Equation
+    k: int
     q: int
     alpha: int
     n: int
@@ -131,7 +130,7 @@ class SolutionRecord:
     def as_dict(self) -> dict:
         n1, n2 = self.split if self.split is not None else (None, None)
         return {
-            "equation": self.equation.value,
+            "equation": EQUATIONS[self.k],
             "q": self.q,
             "alpha": self.alpha,
             "n": self.n,
@@ -208,20 +207,13 @@ def split_solution(q: int, alpha: int, n: int) -> tuple[int, int]:
     return n1, n2
 
 
-def _solution(equation: Equation, q: int, alpha: int) -> SolutionRecord | None:
-    """The record of (q, alpha) when sigma(q^alpha) solves equation, else None."""
-    sigma = sigma_prime_power(q, alpha)
-    # the str value: an Enum class attribute is slow on CPython 3.11, and this runs per pair
-    if equation == "nsq":
-        n = isqrt_exact(sigma)
-        return None if n is None else SolutionRecord(equation, q, alpha, n)
-    if sigma % 2:
-        # odd for every even alpha and for q = 2: never 2n^2
-        return None
-    n = isqrt_exact(sigma // 2)
+def _solution(k: int, q: int, alpha: int) -> SolutionRecord | None:
+    """The record of (q, alpha) when sigma(q^alpha) = k*n^2, else None."""
+    square, rem = divmod(sigma_prime_power(q, alpha), k)
+    n = None if rem else isqrt_exact(square)
     if n is None:
         return None
-    return SolutionRecord(equation, q, alpha, n, split_solution(q, alpha, n))
+    return SolutionRecord(k, q, alpha, n, split_solution(q, alpha, n) if k == 2 else None)
 
 
 def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
@@ -231,13 +223,10 @@ def _eligible(lo: int, hi: int, residue_filter: int | None) -> np.ndarray:
 
 
 def _alpha_masks(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
-    """cfg's residue tables (k = 2 for 2n^2, 1 for n^2) and its alpha range in
-    the tables' words, odd alpha only for 2n^2."""
-    two, words = cfg.equation is Equation.TWO_N_SQUARED, cfg.alpha_max // 64 + 1
+    """cfg's residue tables and its alpha range [alpha_min, alpha_max] in the tables' words."""
+    words = cfg.alpha_max // 64 + 1
     bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)
-    if two:
-        bits &= int.from_bytes(b"\xaa" * 8 * words, "little")
-    return _alpha_tables(1 + two, words), np.frombuffer(bits.to_bytes(8 * words, "little"), "<u8")
+    return _alpha_tables(cfg.k, words), np.frombuffer(bits.to_bytes(8 * words, "little"), "<u8")
 
 
 def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
@@ -258,7 +247,7 @@ def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[Solution
     # bit alpha of a row's words is bit alpha % 8 of its byte alpha // 8
     which, alphas = np.unpackbits(mask[live].view(np.uint8), axis=1, bitorder="little").nonzero()
     pairs = zip(primes[live[which]].tolist(), alphas.tolist())
-    records = [_solution(cfg.equation, q, alpha) for q, alpha in pairs]
+    records = [_solution(cfg.k, q, alpha) for q, alpha in pairs]
     return len(primes), [record for record in records if record is not None]
 
 
@@ -289,9 +278,9 @@ def run_search(cfg: SearchConfig) -> SearchReport:
         scanned += count
         if cfg.checkpoint_path is not None:
             checkpoint_save(cfg, done, records)
-    # sigma(q^alpha) is odd for even alpha: never 2n^2, for any scanned prime
+    # sigma(q^alpha) is odd for even alpha: never k*n^2 for an even k, for any scanned prime
     even = cfg.alpha_max // 2 - (cfg.alpha_min - 1) // 2
-    skipped = even * scanned if cfg.equation is Equation.TWO_N_SQUARED else 0
+    skipped = even * scanned if cfg.k % 2 == 0 else 0
     return SearchReport(cfg, tuple(records), scanned, skipped)
 
 
@@ -398,7 +387,7 @@ def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
                 # the rescan alone would accept a composite q: sigma(8) = 3^2
                 and is_prime(q)
             )
-        again = _solution(cfg.equation, q, alpha) if ok else None
+        again = _solution(cfg.k, q, alpha) if ok else None
         if again is None:
             raise CheckpointError(
                 f"checkpoint {path} holds a hit this search does not find: "

@@ -278,18 +278,19 @@ def residue_survivors(cfg, k: int, moduli: tuple[int, ...]) -> list[tuple[int, i
     return survivors
 
 
-def scan_shard_isqrt(args: tuple[tuple[int, ...], str, int, int]) -> list[tuple]:
-    """The hits (q, alpha, n, split) for args = (primes, equation value,
-    alpha_min, alpha_max), in the order of the primes, then of alpha.
+def scan_shard_isqrt(args: tuple[tuple[int, ...], int, int, int]) -> list[tuple]:
+    """The hits (q, alpha, n, split) of sigma(q^alpha) = k*n^2 for args =
+    (primes, k, alpha_min, alpha_max), k = 2 or 1, in the order of the
+    primes, then of alpha.
 
     The search kernel before its residue sieve: an exact sigma and square
     test for every (q, alpha).
     """
     from oddperfect.arith import isqrt_exact
-    from oddperfect.search import Equation, split_solution
+    from oddperfect.search import split_solution
 
-    primes, equation_value, alpha_min, alpha_max = args
-    two_nsq = equation_value == Equation.TWO_N_SQUARED.value
+    primes, k, alpha_min, alpha_max = args
+    two_nsq = k == 2
     hits: list[tuple] = []
     for q in primes:
         sigma = 1

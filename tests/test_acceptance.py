@@ -14,7 +14,7 @@ import oddperfect.search
 from oddperfect.arith import primes_upto
 from oddperfect.classify import chenluo_check, dhp_scan, omega_bound_product
 from oddperfect.quadratic import identity_sweep, two_adic_certificate
-from oddperfect.search import Equation, SearchConfig, run_search
+from oddperfect.search import EQUATIONS, SearchConfig, run_search
 
 from _oracles import search_solutions
 
@@ -27,7 +27,7 @@ def _report(number: int, description: str, ok: bool) -> None:
 def test_criterion_01_main_theorem_emptiness():
     started = time.monotonic()
     report = run_search(
-        SearchConfig(Equation.TWO_N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(2, q_min=3, q_max=50_000,
                      alpha_min=3, alpha_max=25, residue_filter=1)
     )
     elapsed = time.monotonic() - started
@@ -47,11 +47,11 @@ def test_criterion_01_main_theorem_emptiness():
 
 def test_criterion_02_byproduct_theorem_emptiness():
     filtered = run_search(
-        SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(1, q_min=3, q_max=50_000,
                      alpha_min=1, alpha_max=25, residue_filter=1)
     )
     contrast = run_search(
-        SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(1, q_min=3, q_max=50_000,
                      alpha_min=1, alpha_max=25)
     )
     triples = {(r.q, r.alpha, r.n) for r in contrast.records}
@@ -70,7 +70,7 @@ def test_criterion_03_alpha_one_contrast_hits():
     # up to 200 are q = 7, 17, 31, 71, 97, 127, 199 (n = 2,3,4,6,7,8,10)
     expected = [(7, 2), (17, 3), (31, 4), (71, 6), (97, 7), (127, 8), (199, 10)]
     report = run_search(
-        SearchConfig(Equation.TWO_N_SQUARED, q_min=3, q_max=200,
+        SearchConfig(2, q_min=3, q_max=200,
                      alpha_min=1, alpha_max=1)
     )
     got = [(r.q, r.n) for r in report.records]
@@ -164,23 +164,23 @@ def test_criterion_08_chenluo_bookkeeping():
 
 def test_criterion_09_oracle_equivalence():
     ok = True
-    for equation in (Equation.TWO_N_SQUARED, Equation.N_SQUARED):
-        cfg = SearchConfig(equation, q_min=3, q_max=500, alpha_min=1, alpha_max=8)
+    for k in (2, 1):
+        cfg = SearchConfig(k, q_min=3, q_max=500, alpha_min=1, alpha_max=8)
         got = [(r.q, r.alpha, r.n) for r in run_search(cfg).records]
-        if got != search_solutions(equation.value, 3, 500, 1, 8):
+        if got != search_solutions(EQUATIONS[k], 3, 500, 1, 8):
             ok = False
     _report(9, "both searches match the naive oracle on q <= 500, alpha <= 8", ok)
 
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     configs = [
-        SearchConfig(Equation.TWO_N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(2, q_min=3, q_max=50_000,
                      alpha_min=3, alpha_max=25, residue_filter=1),
-        SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(1, q_min=3, q_max=50_000,
                      alpha_min=1, alpha_max=25, residue_filter=1),
-        SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
+        SearchConfig(1, q_min=3, q_max=50_000,
                      alpha_min=1, alpha_max=25),
-        SearchConfig(Equation.TWO_N_SQUARED, q_min=3, q_max=200,
+        SearchConfig(2, q_min=3, q_max=200,
                      alpha_min=1, alpha_max=1),
     ]
     workers_ok = True
@@ -188,7 +188,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     for cfg in configs:
         outputs = {
             run_search(
-                SearchConfig(cfg.equation, cfg.q_min, cfg.q_max, cfg.alpha_min,
+                SearchConfig(cfg.k, cfg.q_min, cfg.q_max, cfg.alpha_min,
                              cfg.alpha_max, cfg.residue_filter, worker_count=w)
             ).to_jsonl()
             for w in (1, 2, 8)
@@ -198,7 +198,7 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
 
     # one interrupt/resume cycle must reproduce the uninterrupted bytes:
     # the third shard raises KeyboardInterrupt, after two were checkpointed
-    cfg = SearchConfig(Equation.N_SQUARED, q_min=3, q_max=50_000,
+    cfg = SearchConfig(1, q_min=3, q_max=50_000,
                        alpha_min=1, alpha_max=25,
                        checkpoint_path=str(tmp_path / "resume.ckpt"))
     scan, calls = oddperfect.search._scan_shard, []

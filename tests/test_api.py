@@ -28,11 +28,12 @@ def test_every_exported_name_resolves():
 def test_removed_names_are_gone():
     for name in ("search_two_n_squared", "search_n_squared", "resume_config",
                  "SearchInterrupted", "gcd", "CheckpointState", "FACTOR_BOUND",
-                 "SHARD_PRIMES", "binomial", "vp", "unit_group", "divides", "sigma_table"):
+                 "SHARD_PRIMES", "binomial", "vp", "unit_group", "divides", "sigma_table",
+                 "Equation"):
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     for name in ("CheckpointState", "SHARD_PRIMES", "_MODULI", "_TABLE_FACTORS",
-                 "_RESIDUE_TABLES", "_residue_tables"):
+                 "_RESIDUE_TABLES", "_residue_tables", "Equation"):
         assert not hasattr(oddperfect.search, name), name
     for name in ("unit_group", "divides", "UnitSign"):
         assert not hasattr(oddperfect.quadratic, name), name

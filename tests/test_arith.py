@@ -204,6 +204,26 @@ class TestPrimesBetween:
             lo = 4 * 10**9 - 50
             assert primes_between(lo, lo + 100).tolist() == primes_in(lo, lo + 100)
 
+    def test_base_primes_reach_the_root_and_no_further(self, monkeypatch):
+        # primes_between looks up _base_primes as a module global; its first
+        # call names the bit count it sieves below
+        real, asked = arith._base_primes, []
+
+        def spy(bits):
+            asked.append(bits)
+            return real(bits)
+
+        monkeypatch.setattr(arith, "_base_primes", spy)
+        for hi, bits in ((1 << 48, 24), ((1 << 48) - 1, 24), (4, 2), (24, 2), (25, 3)):
+            asked.clear()
+            primes_between(hi - 200, hi)
+            assert asked[0] == bits, hi
+        for hi in range(2, 18):
+            for lo in range(hi + 1):
+                assert primes_between(lo, hi).tolist() == primes_in(lo, hi), (lo, hi)
+        for hi in ((1 << 32) - 1, (1 << 32) + 1):
+            assert primes_between(hi - 1000, hi).tolist() == primes_in(hi - 1000, hi), hi
+
     def test_empty_and_degenerate_intervals(self):
         assert primes_between(-10, 1).tolist() == []
         assert primes_between(-10, 10).tolist() == [2, 3, 5, 7]

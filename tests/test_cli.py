@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import oddperfect
-from oddperfect import arith, cli, search
+from oddperfect import arith, cli, quadratic, search
 from oddperfect.errors import ConsistencyError
-from oddperfect.search import Equation, SearchConfig, SearchReport, SolutionRecord, digest
+from oddperfect.search import SearchConfig, SearchReport, SolutionRecord, digest
 from _oracles import primes_in
 
 
@@ -145,13 +145,33 @@ class TestSearchCommand:
         ckpt = tmp_path / "scan.ckpt"
         argv = ["search", "--equation", "nsq", "--q-max", "300", "--alpha-max", "4",
                 "--checkpoint", str(ckpt), "--format", "jsonl"]
-        identity = SearchConfig(Equation.N_SQUARED, q_max=300, alpha_max=4).identity()
+        identity = SearchConfig(1, q_max=300, alpha_max=4).identity()
         body = {"config": identity, "primes_done": 61, "hits": [[3, 1], [3, 4], [7, 3]]}
         ckpt.write_text(json.dumps({**body, "digest": digest(body)}))
         assert cli.run(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("i/o error") and captured.err.count("\n") == 1
+
+    # the finished checkpoint of the command below as the two-member Equation
+    # enum wrote it: the identity dict, and so the config hash, were its own
+    ENUM_CHECKPOINT = (
+        '{"config":{"alpha_max":9,"alpha_min":1,"equation":"2nsq","q_max":2000,"q_min":3,'
+        '"residue_filter":null},"digest":"79ba6c05c7a6ead8","hits":[[7,1],[17,1],[31,1],'
+        '[71,1],[97,1],[127,1],[199,1],[241,1],[337,1],[449,1],[577,1],[647,1],[881,1],'
+        '[967,1],[1151,1],[1249,1],[1567,1]],"q_done":2000}\n'
+    )
+
+    def test_checkpoint_from_the_enum_config_resumes(self, capsys, tmp_path):
+        ckpt = tmp_path / "scan.ckpt"
+        argv = ["search", "--equation", "2nsq", "--q-max", "2000", "--alpha-max", "9"]
+        code, fresh = run_lines(capsys, argv)
+        assert code == 0 and fresh[-1] == "config: c92e5668b34769fb"
+        ckpt.write_text(self.ENUM_CHECKPOINT)
+        assert cli.run(argv + ["--checkpoint", str(ckpt)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == fresh and captured.err == ""
+        assert ckpt.read_text() == self.ENUM_CHECKPOINT
 
     @pytest.mark.parametrize("checkpoint", [None, "scan.ckpt"])
     def test_interrupt_exits_130_with_one_line(self, capsys, monkeypatch, checkpoint):
@@ -171,20 +191,29 @@ class TestSearchCommand:
 
 class TestViolationDetector:
     def fake_report(self, record):
-        cfg = SearchConfig(record.equation, q_min=3, q_max=100)
+        cfg = SearchConfig(record.k, q_min=3, q_max=100)
         return SearchReport(cfg, (record,), 1, 0)
 
     def test_injected_forbidden_two_nsq_hit(self, capsys, monkeypatch):
-        fake = SolutionRecord(Equation.TWO_N_SQUARED, 13, 3, 99, (9, 11))
+        fake = SolutionRecord(2, 13, 3, 99, (9, 11))
         monkeypatch.setattr(cli, "run_search", lambda cfg: self.fake_report(fake))
         code = cli.run(["search", "--equation", "2nsq"])
         assert code == 2
         assert "theorem violation" in capsys.readouterr().err
 
     def test_injected_forbidden_nsq_hit(self, capsys, monkeypatch):
-        fake = SolutionRecord(Equation.N_SQUARED, 5, 2, 77, None)
+        fake = SolutionRecord(1, 5, 2, 77, None)
         monkeypatch.setattr(cli, "run_search", lambda cfg: self.fake_report(fake))
         assert cli.run(["search", "--equation", "nsq"]) == 2
+
+    def test_injected_forbidden_nsq_hit_at_alpha_one(self, capsys, monkeypatch):
+        # unlike 2nsq, the nsq theorem covers alpha = 1: q + 1 = n^2 with q = 1 mod 4
+        # would make n^2 = 2 mod 4
+        fake = SolutionRecord(1, 13, 1, 99, None)
+        monkeypatch.setattr(cli, "run_search", lambda cfg: self.fake_report(fake))
+        assert cli.run(["search", "--equation", "nsq"]) == 2
+        assert capsys.readouterr().err == (
+            "theorem violation: nsq hit at q=13 alpha=1 n=99 with q = 1 mod 4\n")
 
     def test_alpha_one_hit_is_not_a_violation(self, capsys):
         # q = 17 = 1 mod 4 solves the alpha = 1 case; the theorem only
@@ -470,6 +499,27 @@ class TestQMaxBound:
         assert done.stdout.splitlines()[-2] == "scanned_primes=7 skipped_even_alpha=0 hits=0"
 
 
+class TestIdentityQMaxBound:
+    """identity lists every prime up to --q-max first; past its bound q_max is a usage error."""
+
+    @pytest.mark.parametrize("q_max", ["1_000_001", "1_000_000_000"])
+    def test_past_the_bound_exits_one_under_a_memory_limit(self, q_max):
+        done = _limited_child("-m", "oddperfect", "identity", "--m-max", "1",
+                              "--q-max", q_max, "--ratio-m-max", "0")
+        assert done.returncode == 1 and done.stdout == ""
+        value = int(q_max.replace("_", ""))
+        assert done.stderr == f"error: q_max must be <= 1000000, got {value}\n"
+
+    def test_the_bound_itself_fits_under_the_limit(self):
+        assert quadratic.SWEEP_Q_BOUND == 10**6
+        done = _limited_child("-m", "oddperfect", "identity", "--m-max", "1",
+                              "--q-max", "1_000_000", "--ratio-m-max", "0", "--format", "jsonl")
+        assert done.returncode == 0, done.stderr
+        # one m for each of the 78 498 primes up to 10^6
+        assert json.loads(done.stdout.splitlines()[0]) == {
+            "check": "trace_expansion", "checked": 78_498, "failed": 0}
+
+
 class TestCertifyAlphaBound:
     """certify lists about alpha / 4 summands; past its bound alpha is a usage error."""
 
@@ -495,8 +545,8 @@ def test_parser_is_built_once():
 def _forbidden_hits(cfg):
     # two hits the q = 1 mod 4 theorem rules out, as a broken kernel would report them
     records = (
-        SolutionRecord(Equation.TWO_N_SQUARED, 13, 3, 99, (9, 11)),
-        SolutionRecord(Equation.TWO_N_SQUARED, 17, 5, 41, (3, 7)),
+        SolutionRecord(2, 13, 3, 99, (9, 11)),
+        SolutionRecord(2, 17, 5, 41, (3, 7)),
     )
     return SearchReport(cfg, records, 2, 0)
 

@@ -188,6 +188,17 @@ class TestIdentitySweep:
         with pytest.raises(ValueError):
             identity_sweep(*bounds)
 
+    def test_q_max_past_its_bound_rejected_before_any_sieve(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"primes listed up to {limit}")
+
+        monkeypatch.setattr(oddperfect.quadratic, "primes_upto", refuse)
+        bound = oddperfect.quadratic.SWEEP_Q_BOUND
+        with pytest.raises(ValueError, match=f"q_max must be <= {bound}, got {bound + 1}"):
+            identity_sweep(1, bound + 1, 0)
+        with pytest.raises(AssertionError, match="primes listed"):
+            identity_sweep(1, bound, 0)
+
 
 class TestTwoAdicCertificate:
     def test_empty_sum_case(self):

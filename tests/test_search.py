@@ -15,7 +15,7 @@ import oddperfect.search
 from oddperfect.errors import CheckpointError, ConsistencyError
 from oddperfect.quadratic import QuadInt
 from oddperfect.search import (
-    Equation,
+    EQUATIONS,
     SearchConfig,
     SearchReport,
     SolutionRecord,
@@ -34,17 +34,20 @@ from _oracles import (
     sigma_prime_power_sum,
 )
 
+#: k = 2 and k = 1, by the name of their equation.
+KS = [pytest.param(2, id="2nsq"), pytest.param(1, id="nsq")]
+
 #: Shard width that splits q <= 3000 into 4 shards, as many as the 128-prime
 #: shards these tests were written for.
 NARROW = 750
 
 
 def two_nsq(**kw):
-    return SearchConfig(Equation.TWO_N_SQUARED, **kw)
+    return SearchConfig(2, **kw)
 
 
 def nsq(**kw):
-    return SearchConfig(Equation.N_SQUARED, **kw)
+    return SearchConfig(1, **kw)
 
 
 def interrupt_at_shard(monkeypatch, k):
@@ -73,11 +76,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             two_nsq(worker_count=0)
 
-    @pytest.mark.parametrize("equation", ["nsq", "cube"])
-    def test_equation_must_be_a_member(self, equation):
-        # a bare string would otherwise fail only after the scan
-        with pytest.raises(ValueError, match="Equation member"):
-            SearchConfig(equation, q_max=100)
+    @pytest.mark.parametrize("k", ["nsq", "cube", 0, 3, True, 2.0])
+    def test_equation_must_be_a_member(self, k):
+        # k names the equation: True and 2.0 equal a key of EQUATIONS but are no int
+        with pytest.raises(ValueError, match=r"k must be one of \[1, 2\]"):
+            SearchConfig(k, q_max=100)
 
     def test_hash_ignores_execution_knobs(self):
         a = nsq(q_max=100, worker_count=8, checkpoint_path="/anywhere")
@@ -143,11 +146,11 @@ class TestResidueExclusivity:
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("equation", [Equation.TWO_N_SQUARED, Equation.N_SQUARED])
-    def test_matches_naive_double_loop(self, equation):
-        cfg = SearchConfig(equation, q_min=3, q_max=200, alpha_min=1, alpha_max=6)
+    @pytest.mark.parametrize("k", KS)
+    def test_matches_naive_double_loop(self, k):
+        cfg = SearchConfig(k, q_min=3, q_max=200, alpha_min=1, alpha_max=6)
         got = [(r.q, r.alpha, r.n) for r in run_search(cfg).records]
-        assert got == search_solutions(equation.value, 3, 200, 1, 6)
+        assert got == search_solutions(EQUATIONS[k], 3, 200, 1, 6)
 
     def test_residue_filter_matches_oracle(self):
         cfg = two_nsq(q_min=3, q_max=200, alpha_max=6, residue_filter=3)
@@ -158,10 +161,10 @@ class TestOracleEquivalence:
 def oracle_jsonl(cfg: SearchConfig) -> str:
     """cfg's JSONL report from the isqrt-per-pair kernel over the plain sieve."""
     primes = [q for q in primes_in(cfg.q_min, cfg.q_max) if cfg.residue_filter in (None, q % 4)]
-    hits = scan_shard_isqrt((tuple(primes), cfg.equation.value, cfg.alpha_min, cfg.alpha_max))
+    hits = scan_shard_isqrt((tuple(primes), cfg.k, cfg.alpha_min, cfg.alpha_max))
     even = sum(1 for a in range(cfg.alpha_min, cfg.alpha_max + 1) if a % 2 == 0)
-    skip = even if cfg.equation is Equation.TWO_N_SQUARED else 0
-    records = tuple(SolutionRecord(cfg.equation, *hit) for hit in hits)
+    skip = even if cfg.k == 2 else 0
+    records = tuple(SolutionRecord(cfg.k, *hit) for hit in hits)
     return SearchReport(cfg, records, len(primes), skip * len(primes)).to_jsonl()
 
 
@@ -180,9 +183,9 @@ def record_exact_tests(monkeypatch) -> list:
     """The (q, alpha) of every exact test the kernel makes from now on."""
     real, tested = oddperfect.search._solution, []
 
-    def solution(equation, q, alpha):
+    def solution(k, q, alpha):
         tested.append((q, alpha))
-        return real(equation, q, alpha)
+        return real(k, q, alpha)
 
     monkeypatch.setattr(oddperfect.search, "_solution", solution)
     return tested
@@ -221,39 +224,38 @@ class TestKernelAgainstOracle:
 
     @settings(deadline=None, max_examples=200)
     @given(
-        equation=st.sampled_from(list(Equation)),
+        k=st.sampled_from(list(EQUATIONS)),
         q_min=st.integers(min_value=1, max_value=5000),
         width=st.integers(min_value=0, max_value=1500),
         alpha_min=st.integers(min_value=1, max_value=30),
         alpha_width=st.integers(min_value=0, max_value=30),
         residue_filter=st.sampled_from([None, 1, 3]),
     )
-    def test_random_windows(self, equation, q_min, width, alpha_min, alpha_width,
-                            residue_filter):
-        cfg = SearchConfig(equation, q_min=q_min, q_max=q_min + width, alpha_min=alpha_min,
+    def test_random_windows(self, k, q_min, width, alpha_min, alpha_width, residue_filter):
+        cfg = SearchConfig(k, q_min=q_min, q_max=q_min + width, alpha_min=alpha_min,
                            alpha_max=alpha_min + alpha_width, residue_filter=residue_filter)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
 
-    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
-    def test_q_beyond_the_square_root_of_int64(self, monkeypatch, equation, k):
+    @pytest.mark.parametrize("k", [2, 1], ids=["2nsq-2", "nsq-1"])
+    def test_q_beyond_the_square_root_of_int64(self, monkeypatch, k):
         # q^2 > 2^63 here; the window holds the 2nsq hit q = 2*46368^2 - 1 = 4299982847
-        cfg = SearchConfig(equation, q_min=4_299_980_000, q_max=4_299_980_000 + (1 << 12) - 1,
+        cfg = SearchConfig(k, q_min=4_299_980_000, q_max=4_299_980_000 + (1 << 12) - 1,
                            alpha_max=101)
         assert cfg.q_min**2 > 2**63
         tested = record_exact_tests(monkeypatch)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
         assert sorted(tested) == residue_survivors(cfg, k, SIEVE_MODULI)
 
-    @pytest.mark.parametrize("equation, k", [(Equation.TWO_N_SQUARED, 2), (Equation.N_SQUARED, 1)])
-    def test_large_q_and_alpha(self, monkeypatch, equation, k):
+    @pytest.mark.parametrize("k", [2, 1], ids=["2nsq-2", "nsq-1"])
+    def test_large_q_and_alpha(self, monkeypatch, k):
         # alpha up to 101 spans two words of the tables; the window holds the
         # 2nsq hit q = 2*7076^2 - 1 = 100139551
-        cfg = SearchConfig(equation, q_min=100_100_000, q_max=100_100_000 + (1 << 16) - 1,
+        cfg = SearchConfig(k, q_min=100_100_000, q_max=100_100_000 + (1 << 16) - 1,
                            alpha_max=101)
         tested = record_exact_tests(monkeypatch)
         assert run_search(cfg).to_jsonl() == oracle_jsonl(cfg)
         assert sorted(tested) == residue_survivors(cfg, k, SIEVE_MODULI)
-        if equation is Equation.TWO_N_SQUARED:
+        if k == 2:
             # an even alpha makes sigma odd: none is ever tested
             assert tested and all(alpha % 2 for _, alpha in tested)
 
@@ -277,19 +279,25 @@ class TestAlphaTables:
                     bit = words[alpha // 64] >> alpha % 64 & 1
                     assert bit == (sigma % m in squares), (k, m, r, alpha)
 
-    @pytest.mark.parametrize("equation", list(Equation))
+    def test_two_nsq_mod_128_rows_clear_every_even_alpha(self):
+        # an even alpha makes sigma odd, and 2x^2 mod 128 is even: the search
+        # needs no parity mask of its own for k = 2
+        rows = oddperfect.search._alpha_tables(2, 16)[:128]
+        assert SIEVE_MODULI[0] == 128
+        assert not (rows & 0x5555_5555_5555_5555).any()
+        assert (rows & 0xAAAA_AAAA_AAAA_AAAA).any()
+
+    @pytest.mark.parametrize("k", KS)
     @pytest.mark.parametrize("alpha_min, alpha_max", [
         (1, 1), (1, 63), (3, 64), (2, 130), (63, 128), (64, 64), (101, 1001),
     ])
-    def test_alpha_window(self, equation, alpha_min, alpha_max):
-        cfg = SearchConfig(equation, alpha_min=alpha_min, alpha_max=alpha_max)
+    def test_alpha_window(self, k, alpha_min, alpha_max):
+        cfg = SearchConfig(k, alpha_min=alpha_min, alpha_max=alpha_max)
         table, window = oddperfect.search._alpha_masks(cfg)
         words = window.tolist()
         assert len(words) == table.shape[1] == alpha_max // 64 + 1
         got = {a for a in range(64 * len(words)) if words[a // 64] >> a % 64 & 1}
-        # 2nsq never sets an even alpha's bit: it makes sigma odd
-        odd = equation is Equation.TWO_N_SQUARED
-        assert got == {a for a in range(alpha_min, alpha_max + 1) if a % 2 or not odd}
+        assert got == set(range(alpha_min, alpha_max + 1))
 
     def test_tables_are_shared_and_read_only(self):
         table, _ = oddperfect.search._alpha_masks(two_nsq(alpha_max=101))
@@ -474,11 +482,11 @@ class TestPoolLifetime:
 
 
 # nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
-NSQ = dict(equation=Equation.N_SQUARED, alpha_min=2, alpha_max=4)
+NSQ = dict(k=1, alpha_min=2, alpha_max=4)
 # 2nsq hits at q = 17, 97, 241 (alpha = 1); the hit at q = 7 is 3 mod 4
-TWO_NSQ = dict(equation=Equation.TWO_N_SQUARED, residue_filter=1, alpha_max=1)
+TWO_NSQ = dict(k=2, residue_filter=1, alpha_max=1)
 # nsq hits (3, 1, 2), (3, 4, 11) and (7, 3, 20); sigma(8^1) = 9 = 3^2, but 8 is no prime
-NSQ_FROM_1 = dict(equation=Equation.N_SQUARED, alpha_max=4)
+NSQ_FROM_1 = dict(k=1, alpha_max=4)
 # 2nsq hits at q = 97, 241; the hit at q = 17 is below q_min
 TWO_NSQ_FROM_20 = dict(TWO_NSQ, q_min=20)
 
@@ -603,7 +611,7 @@ class TestCheckpointing:
     def test_save_resume_round_trip(self, tmp_path):
         path = tmp_path / "state.ckpt"
         cfg = two_nsq(q_max=100, alpha_max=9, checkpoint_path=str(path))
-        record = SolutionRecord(Equation.TWO_N_SQUARED, 7, 1, 2, (1, 2))
+        record = SolutionRecord(2, 7, 1, 2, (1, 2))
         checkpoint_save(cfg, 10, [record])
         assert json.loads(path.read_text())["hits"] == [[7, 1]]
         assert checkpoint_resume(cfg) == (10, [record])
