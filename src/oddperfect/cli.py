@@ -6,8 +6,9 @@ Exit codes are part of the contract:
      composite cofactor that rho cannot split within its step cap
   2  theorem violation: a hit in a range a theorem proves empty, a failing
      certificate, or a tripped internal consistency check
-  3  I/O error: an unwritable output, or a checkpoint that is unreadable,
-     belongs to another search, or holds a hit the search does not find
+  3  I/O error: an unwritable output, a checkpoint that is unreadable,
+     belongs to another search, or holds a hit the search does not find,
+     or a search helper process that died
   130  interrupted (Ctrl-C); a search resumes from its checkpoint, if it
        has one, when the same command is run again
 """

@@ -1,16 +1,23 @@
 """Tests for the Diophantine search engine and its checkpointing."""
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oddperfect.arith import primes_upto
+import oddperfect.cli
 import oddperfect.search
 from oddperfect.errors import CheckpointError, ConsistencyError
 from oddperfect.quadratic import QuadInt
@@ -375,77 +382,98 @@ class TestWorkerDeterminism:
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    """A pool that scans each shard in this process when it is submitted.
+def fake_helpers(monkeypatch):
+    """A helper launcher that starts no process: a helper scans its next shard
+    in this process when the parent reads from its pipe.
 
-    It records the size of each pool made and the most shards submitted but
-    not yet collected.
+    It records each helper's (first, step), its payload as pickled, how many
+    residue tables were built when it started, and how many results the
+    parent has read.
     """
-    seen = SimpleNamespace(sizes=[], in_flight=0, peak=0)
+    seen = SimpleNamespace(strides=[], payloads=[], tables=[], received=0)
 
-    class Done:
-        def __init__(self, value):
-            self.value = value
+    def start(*payload):
+        cfg, lo, first, step = payload
+        seen.strides.append((first, step))
+        seen.payloads.append(pickle.dumps(payload))
+        seen.tables.append(oddperfect.search._alpha_tables.cache_info().currsize)
+        shards = itertools.islice(oddperfect.search._intervals(lo, cfg.q_max), first, None, step)
 
-        def result(self):
-            seen.in_flight -= 1
-            return self.value
+        def recv():
+            seen.received += 1
+            return oddperfect.search._scan_shard((cfg, *next(shards)))
 
-    class FakePool:
-        def __init__(self, max_workers, **kwargs):
-            seen.sizes.append(max_workers)
+        process = SimpleNamespace(kill=lambda: None, join=lambda: None)
+        return process, SimpleNamespace(recv=recv, close=lambda: None)
 
-        def submit(self, fn, payload):
-            seen.in_flight += 1
-            seen.peak = max(seen.peak, seen.in_flight)
-            return Done(fn(payload))
-
-        def shutdown(self, **kwargs):
-            pass
-
-    monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(oddperfect.search, "_start_helper", start)
     return seen
 
 
 class TestWorkerCap:
-    @pytest.mark.parametrize("q_max, cpus, pools", [
-        (3000, 64, [4]),
-        (3000, 3, [3]),
-        (3000, None, []),
-        (500, 64, []),
+    @pytest.mark.parametrize("q_max, cpus, helpers", [
+        (3000, 64, 3),
+        (3000, 3, 2),
+        (3000, None, 0),
+        (500, 64, 0),
     ], ids=["4_shards", "3_cpus", "cpus_unknown", "1_shard"])
-    def test_pool_never_exceeds_shards_or_cpus(self, monkeypatch, fake_pool, q_max, cpus, pools):
-        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: cpus)
+    def test_pool_never_exceeds_shards_or_cpus(
+        self, monkeypatch, fake_helpers, q_max, cpus, helpers
+    ):
+        # the parent and its helpers: at most min(jobs, shards, CPUs) processes
+        if cpus is None:  # no affinity mask, and os.cpu_count() does not know
+            monkeypatch.delattr(oddperfect.search.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         report = run_search(two_nsq(q_max=q_max, alpha_max=9, worker_count=100_000))
-        assert fake_pool.sizes == pools
+        assert fake_helpers.strides == [(j, helpers + 1) for j in range(1, helpers + 1)]
         assert report.to_jsonl() == run_search(two_nsq(q_max=q_max, alpha_max=9)).to_jsonl()
 
-    def test_shards_in_flight_are_bounded(self, monkeypatch, fake_pool):
-        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
+    @pytest.mark.parametrize("affinity, count, usable", [
+        ({0}, 2, 1), ({0, 1, 2}, None, 3), (None, 5, 5), (None, None, 1),
+    ], ids=["pinned", "count_unknown", "no_affinity", "nothing_known"])
+    def test_only_cpus_this_process_may_use_count(self, monkeypatch, affinity, count, usable):
+        if affinity is None:
+            monkeypatch.delattr(oddperfect.search.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(oddperfect.search.os, "sched_getaffinity", lambda pid: affinity,
+                                raising=False)
+        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: count)
+        assert oddperfect.search._usable_cpus() == usable
+
+    def test_shards_in_flight_are_bounded(self, monkeypatch, fake_helpers):
+        # the parent holds at most one result per helper that it has not merged yet
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
-        report = run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
-        # 30 shards: two per worker in flight, and every result collected
-        assert fake_pool.sizes == [2]
-        assert fake_pool.peak == 4 and fake_pool.in_flight == 0
-        assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
+        cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3)
+        from_helpers = 0
+        for i, _ in enumerate(oddperfect.search._shard_results(cfg, cfg.q_min)):
+            from_helpers += i % 3 != 0
+            assert 0 <= fake_helpers.received - from_helpers <= 2
+        # 30 shards, 20 of them from the two helpers, every one merged
+        assert i == 29 and fake_helpers.received == from_helpers == 20
 
+    def test_helper_payload_does_not_grow_with_the_shards(self, monkeypatch, fake_helpers):
+        # a helper is told where its shards start and how far apart they lie, not each shard
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        for q_max in (102_999, 3_099_999):  # 30 and 30 000 shards
+            cfg = two_nsq(q_min=100_000, q_max=q_max, alpha_max=9, worker_count=2)
+            scan = oddperfect.search._shard_results(cfg, cfg.q_min)
+            next(scan)
+            scan.close()
+        small, large = fake_helpers.payloads
+        assert len(small) == len(large) and small != large
 
-    def test_tables_are_built_before_the_pool_starts(self, monkeypatch, fake_pool):
-        # forked workers inherit them instead of each building its own
-        monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
+    def test_tables_are_built_before_the_pool_starts(self, monkeypatch, fake_helpers):
+        # forked helpers inherit them instead of each building its own
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        tables, built = oddperfect.search._alpha_tables, []
-        fake = oddperfect.search.ProcessPoolExecutor
-
-        def pool(*args, **kwargs):
-            built.append(tables.cache_info().currsize)
-            return fake(*args, **kwargs)
-
-        monkeypatch.setattr(oddperfect.search, "ProcessPoolExecutor", pool)
-        tables.cache_clear()
+        oddperfect.search._alpha_tables.cache_clear()
         run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
-        assert built == [1]
+        assert fake_helpers.tables == [1]
 
 
 _real_scan_shard = oddperfect.search._scan_shard
@@ -479,6 +507,102 @@ class TestPoolLifetime:
         with pytest.raises(KeyboardInterrupt):
             run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
         assert time.monotonic() - start < 1
+
+
+def slow_helpers(monkeypatch, fail_at=None, exc=None):
+    """Make each shard a helper scans take 2 s, except the one starting at
+    fail_at, which raises exc at once; the parent scans as before."""
+    parent = os.getpid()
+
+    def scan(args):
+        if os.getpid() != parent:
+            if args[1] == fail_at:
+                raise exc
+            time.sleep(2)
+        return _real_scan_shard(args)
+
+    monkeypatch.setattr(oddperfect.search, "_scan_shard", scan)
+
+
+# 4 shards of NARROW, scanned by the parent and two helpers at --jobs 3
+THREE_WORKERS = ["search", "--equation", "2nsq", "--q-max", "3000", "--alpha-max", "9",
+                 "--jobs", "3", "--format", "jsonl"]
+
+#: Runs THREE_WORKERS (argv) in a fresh interpreter whose second helper dies at
+#: its first shard, then reports the children still alive on stderr.
+DEAD_HELPER = f"""
+import multiprocessing, os, sys
+from oddperfect import cli, search
+search.SHARD_WIDTH = {NARROW}
+search._usable_cpus = lambda: 3
+scan = search._scan_shard
+search._scan_shard = lambda args: os._exit(1) if args[1] == 3 + 2 * {NARROW} else scan(args)
+code = cli.run(sys.argv[1:])
+print(f"children={{len(multiprocessing.active_children())}}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestHelperFailures:
+    """A helper's failure reaches the parent as the same exception, or as a
+    ChildProcessError when the helper died, and no helper outlives the scan."""
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        self.before = set(multiprocessing.active_children())
+        yield
+        assert set(multiprocessing.active_children()) - self.before == set()
+
+    def test_consistency_error_exits_two(self, monkeypatch, capsys):
+        slow_helpers(monkeypatch, NARROW + 3, ConsistencyError("injected at shard 753"))
+        start = time.monotonic()
+        assert oddperfect.cli.run(THREE_WORKERS) == 2
+        assert time.monotonic() - start < 1.5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "theorem violation: injected at shard 753\n"
+
+    def test_keyboard_interrupt_stops_the_scan(self, monkeypatch, tmp_path):
+        slow_helpers(monkeypatch, NARROW + 3, KeyboardInterrupt())
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3, checkpoint_path=str(path))
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_search(cfg)
+        assert time.monotonic() - start < 1.5
+        # the parent's own shard 0 was merged, the helper's shard 1 was not
+        assert json.loads(path.read_text())["q_done"] == NARROW + 2
+
+    def test_abandoned_scan_stops_its_helpers(self, monkeypatch):
+        slow_helpers(monkeypatch)
+        cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3)
+        scan = oddperfect.search._shard_results(cfg, cfg.q_min)
+        start = time.monotonic()
+        next(scan)  # shard 0, the parent's own
+        assert len(set(multiprocessing.active_children()) - self.before) == 2
+        scan.close()
+        assert time.monotonic() - start < 1
+
+    def test_dead_helper_is_a_one_line_io_error(self, capsys, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        argv = [*THREE_WORKERS, "--checkpoint", str(path)]
+        env = {**os.environ, "PYTHONPATH": str(Path(oddperfect.search.__file__).parents[1])}
+        # in a child with a timeout: a parent that waits for a dead helper hangs
+        child = subprocess.run([sys.executable, "-c", DEAD_HELPER, *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 3 and child.stdout == ""
+        assert child.stderr.splitlines() == [
+            f"i/o error: a search helper died before it sent shard [{2 * NARROW + 3}, 2252]",
+            "children=0",
+        ]
+        # shards 0 and 1 were merged; resumed here, the scan runs the other two
+        assert json.loads(path.read_text())["q_done"] == 2 * NARROW + 2
+        assert oddperfect.cli.run(argv) == 0
+        resumed = capsys.readouterr().out
+        assert oddperfect.cli.run(THREE_WORKERS) == 0
+        assert resumed == capsys.readouterr().out
 
 
 # nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
