@@ -1,0 +1,259 @@
+"""The mutants of src/ that the tests must catch, one case per mutant.
+
+A case holds the file (relative to the repository root), the old text, which
+occurs exactly once in that file, the new text that replaces it, the pytest
+node ids of which at least one must fail (or hang) on the mutant, and the
+change that reported it: a short commit hash, or the lead words of its
+CHANGES.md line when the case arrived with that change.  `python3
+mutants/run.py` applies each one alone; mutants/test_cases.py checks that
+every old text still occurs exactly once.  A refactor that moves the code
+moves its mutants too, or lists them in RETIRED with the commit that retired
+them.  EQUIVALENT mutants change no behaviour any test can see; they are
+listed with the reason and not run.
+"""
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    catch: tuple[str, ...]
+    reported: str
+
+
+class Equivalent(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    reason: str
+    reported: str
+
+
+class Retired(NamedTuple):
+    name: str
+    reported: str
+    retired_by: str
+    reason: str
+
+
+ARITH = "src/oddperfect/arith.py"
+SEARCH = "src/oddperfect/search.py"
+CLI = "src/oddperfect/cli.py"
+QUADRATIC = "src/oddperfect/quadratic.py"
+
+T_ARITH = "tests/test_arith.py::"
+T_SEARCH = "tests/test_search.py::"
+T_CLI = "tests/test_cli.py::"
+T_QUADRATIC = "tests/test_quadratic.py::"
+
+#: The change that split the search kernel from its sieve and resumes through it.
+HIT_TEST = "one hit test for the scan and the resume"
+
+_RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
+
+CASES: tuple[Mutant, ...] = (
+    # factorize in one path
+    Mutant("table-split-skipped", ARITH,
+           "        while g > 1:", "        while False:",
+           (T_ARITH + "TestFactorizeTrustedPath::test_group_gcd_at_or_above_the_table_bound",
+            T_ARITH + "TestSmallestPrimeFactorTable::test_factorize_against_trial_division"),
+           "92b798c"),
+    Mutant("group-gcd-taken-as-prime", ARITH,
+           "            p = spf[g >> 1] or g", "            p = g",
+           (T_ARITH + "TestFactorizeOracle::test_carmichael_numbers",
+            T_ARITH + "TestFactorizeTrustedPath::test_group_gcd_at_or_above_the_table_bound"),
+           "92b798c"),
+    Mutant("final-chain-skipped", ARITH,
+           "    while 1 < c < _TABLE_BOUND:", "    while False:",
+           (T_ARITH + "TestFactorize::test_spec_values",
+            T_ARITH + "TestFactorizeTrustedPath::test_matches_oracle_below_10_8"),
+           "92b798c"),
+    Mutant("final-chain-one-step", ARITH,
+           "    while 1 < c < _TABLE_BOUND:", "    if 1 < c < _TABLE_BOUND:",
+           (T_ARITH + "TestSmallestPrimeFactorTable::test_factorize_against_trial_division",
+            T_ARITH + "TestFactorizeOracle::test_carmichael_numbers"),
+           "92b798c"),
+    Mutant("group-scan-never-stops", ARITH,
+           "            if g < _TABLE_BOUND:", "            if g < 1 << 62:",
+           (T_ARITH + "TestFactorizeTrustedPath::test_group_gcd_at_or_above_the_table_bound",
+            T_ARITH + "TestFactorizeProvesOnce::test_no_call_proves_a_trial_prime"),
+           "92b798c"),
+    Mutant("composite-flag-kept-after-a-hit", ARITH,
+           "        composite = False\n    else:", "    else:",
+           (T_ARITH + "TestFactorizeProvesOnce::test_a_prime_cofactor_ends_trial_before_rho",),
+           "92b798c"),
+    Mutant("trial-groups-below-the-table", ARITH,
+           " if c >= _TABLE_BOUND else ():", " if c >= 3 else ():",
+           (T_ARITH + "TestFactorizeIsLazy::test_import_builds_no_trial_table",),
+           "92b798c"),
+    Mutant("every-exponent-one", ARITH,
+           "    e = 0\n    while c % p == 0:\n        c, e = c // p, e + 1",
+           "    e = 1\n    c //= p",
+           (T_ARITH + "TestFactorizeTrustedPath::test_cofactor_either_side_of_the_table_bound_after_a_hit",
+            T_ARITH + "TestFactorizeTrustedPath::test_trial_bound_edge"),
+           "92b798c"),
+    Mutant("trial-group-of-128", ARITH,
+           "_TRIAL_GROUP = 256", "_TRIAL_GROUP = 128",
+           (T_ARITH + "TestFactorizeProvesOnce::test_no_call_for_a_cofactor_below_the_next_least_square",),
+           "92b798c"),
+    # SearchConfig carries k
+    Mutant("exact-test-divides-by-two", SEARCH,
+           "divmod(sigma_prime_power(q, alpha), k)", "divmod(sigma_prime_power(q, alpha), 2)",
+           (T_SEARCH + "TestNSquared::test_small_range_hits",
+            T_SEARCH + "TestOracleEquivalence::test_matches_naive_double_loop[nsq]"),
+           "03dbaad"),
+    Mutant("nsq-alpha-one-not-forbidden", CLI,
+           "r.alpha > 1 or r.k == 1", "r.alpha > 1",
+           (T_CLI + "TestViolationDetector::test_injected_forbidden_nsq_hit_at_alpha_one",),
+           "03dbaad"),
+    Mutant("skipped-alphas-for-the-wrong-k", SEARCH,
+           "cfg.k % 2 == 0", "cfg.k == 1",
+           (T_SEARCH + "TestCoverageAccounting::test_scanned_and_skipped_counts",
+            T_SEARCH + "TestCoverageAccounting::test_nsq_never_skips"),
+           "03dbaad"),
+    Mutant("k-type-unchecked", SEARCH,
+           "type(self.k) is not int or self.k not in EQUATIONS", "self.k not in EQUATIONS",
+           (T_SEARCH + "TestConfig::test_equation_must_be_a_member[True]",
+            T_SEARCH + "TestConfig::test_equation_must_be_a_member[2.0]"),
+           "03dbaad"),
+    Mutant("base-primes-to-twice-the-root", ARITH,
+           "_base_primes((root - 1).bit_length() + (root == 2))",
+           "_base_primes(root.bit_length())",
+           (T_ARITH + "TestPrimesBetween::test_base_primes_reach_the_root_and_no_further",),
+           "03dbaad"),
+    Mutant("base-primes-short-at-root-two", ARITH,
+           "(root - 1).bit_length() + (root == 2)", "(root - 1).bit_length()",
+           (T_ARITH + "TestPrimesBetween::test_base_primes_reach_the_root_and_no_further",),
+           "03dbaad"),
+    Mutant("identity-q-max-unbounded", QUADRATIC,
+           "    if q_max > SWEEP_Q_BOUND:", "    if False:",
+           (T_QUADRATIC + "TestIdentitySweep::test_q_max_past_its_bound_rejected_before_any_sieve",
+            T_CLI + "TestIdentityQMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[1_000_001]"),
+           "03dbaad"),
+    Mutant("no-split-for-2nsq", SEARCH,
+           "split_solution(q, alpha, n) if k == 2 else None", "None",
+           (T_SEARCH + "TestTwoNSquared::test_small_range_hits",),
+           "03dbaad"),
+    # streaming helpers
+    Mutant("parent-takes-the-wrong-shards", SEARCH,
+           "if i % workers:", "if i % workers != 1:",
+           (T_SEARCH + "TestWorkerDeterminism::test_output_identical_for_1_2_8_workers",
+            T_SEARCH + "TestWorkerCap::test_pool_never_exceeds_shards_or_cpus[4_shards]"),
+           "a6a0667"),
+    Mutant("helper-does-not-forward", SEARCH,
+           "        with contextlib.suppress(OSError):  # the parent is gone: no one to tell\n"
+           "            send.send(exc)",
+           "        raise",
+           (T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two",
+            T_SEARCH + "TestHelperFailures::test_keyboard_interrupt_stops_the_scan"),
+           "a6a0667"),
+    Mutant("parent-does-not-raise-forwarded", SEARCH,
+           "    if isinstance(result, BaseException):\n        raise result\n", "",
+           (T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two",
+            T_SEARCH + "TestHelperFailures::test_keyboard_interrupt_stops_the_scan"),
+           "a6a0667"),
+    Mutant("helpers-not-killed", SEARCH,
+           "            process.kill()", "            pass",
+           (T_SEARCH + "TestPoolLifetime::test_interrupt_does_not_wait_for_running_shards",
+            T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers",
+            T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two"),
+           "a6a0667"),
+    Mutant("tables-built-after-the-fork", SEARCH,
+           "    _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them\n"
+           "    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))\n"
+           "    # never more processes than there is work or CPUs this process may use\n"
+           "    workers = min(cfg.worker_count, shards, _usable_cpus())\n"
+           "    helpers = []\n"
+           "    try:\n"
+           "        for first in range(1, workers):\n"
+           "            helpers.append(_start_helper(cfg, lo, first, workers))\n",
+           "    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))\n"
+           "    workers = min(cfg.worker_count, shards, _usable_cpus())\n"
+           "    helpers = []\n"
+           "    try:\n"
+           "        for first in range(1, workers):\n"
+           "            helpers.append(_start_helper(cfg, lo, first, workers))\n"
+           "        _alpha_masks(cfg)\n",
+           (T_SEARCH + "TestWorkerCap::test_tables_are_built_before_the_pool_starts",),
+           "a6a0667"),
+    # the parent keeps a send end open, so a dead helper's EOF never comes: the
+    # test's child hangs until its own 60 s timeout
+    Mutant("parent-keeps-the-send-end", SEARCH,
+           "    send.close()", "    process.send_end = send",
+           (T_SEARCH + "TestHelperFailures::test_dead_helper_is_a_one_line_io_error",),
+           "a6a0667"),
+    # one hit test for the scan and the resume
+    Mutant("resume-skips-is-prime", SEARCH,
+           "np.array([q for q in qs if is_prime(q)], dtype=np.int64)",
+           "np.array(qs, dtype=np.int64)",
+           (_RESUMED + "[q_not_prime]",),
+           HIT_TEST),
+    Mutant("resume-skips-the-q-filter", SEARCH,
+           " and cfg.residue_filter in (None, q % 4)]", "]",
+           (_RESUMED + "[q_not_eligible]",),
+           HIT_TEST),
+    Mutant("resume-skips-the-cursor", SEARCH,
+           "cfg.q_min <= q <= done and", "cfg.q_min <= q and",
+           (_RESUMED + "[q_above_q_max]", _RESUMED + "[q_beyond_cursor]"),
+           HIT_TEST),
+    Mutant("resume-skips-q-min", SEARCH,
+           "cfg.q_min <= q <= done and", "q <= done and",
+           (_RESUMED + "[q_below_q_min]",),
+           HIT_TEST),
+    Mutant("resume-compares-with-eq", SEARCH,
+           "if canonical_json(found) != canonical_json(pairs):", "if found != pairs:",
+           (_RESUMED + "[alpha_not_int]",),
+           HIT_TEST),
+    Mutant("resume-names-no-stray-pair", SEARCH,
+           '{stray[0]}" if stray\n', '{stray[0]}" if not stray\n',
+           (T_CLI + "test_golden_output[checkpoint_forged_hit]",
+            T_SEARCH + "TestCheckpointing::test_a_stray_pair_is_named_and_a_missing_hit_is_not"),
+           HIT_TEST),
+    Mutant("trace-term-misses-a-factor", QUADRATIC,
+           "term * d * (m - 2 * i + 2) * (m - 2 * i + 1)", "term * d * (m - 2 * i + 2) * (m - 2 * i)",
+           (T_QUADRATIC + "TestTraceExpansion::test_matches_the_binomial_sum",
+            T_QUADRATIC + "TestTraceExpansion::test_matches_power_trace_for_both_signs"),
+           HIT_TEST),
+    Mutant("trace-term-divides-by-too-little", QUADRATIC,
+           "// ((2 * i - 1) * 2 * i)", "// ((2 * i - 1) * i)",
+           (T_QUADRATIC + "TestTraceExpansion::test_matches_the_binomial_sum",),
+           HIT_TEST),
+    Mutant("jaeschke-rung-with-psw-witnesses", ARITH,
+           "(9_080_191, (31, 73)),", "(9_080_191, (2, 3)),",
+           (T_ARITH + "TestIsPrime::test_strong_pseudoprimes_are_rejected",
+            T_ARITH + "TestIsPrime::test_either_side_of_the_deleted_rungs"),
+           HIT_TEST),
+)
+
+EQUIVALENT: tuple[Equivalent, ...] = (
+    Equivalent("gcd-screen-without-37", ARITH,
+               "_SMALL_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))",
+               "_SMALL_PRODUCT = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31))",
+               "the proven witness ladder rejects every composite below its bound, "
+               "multiples of 37 among them; the screen only saves their rounds",
+               "ee2df68"),
+    Equivalent("slice-primes-below-128", ARITH,
+               "    k = np.searchsorted(base, 256)", "    k = np.searchsorted(base, 128)",
+               "the slice and the scatter cross out the same multiples; the split "
+               "point only moves work between them",
+               "da9813d"),
+    Equivalent("group-scan-stop-dropped", ARITH,
+               "            if g < _TABLE_BOUND:", "            if g < 1:",
+               "the scan then walks the whole group and leaves g = 1 for the table: "
+               "the same factors and is_prime calls, only more % work",
+               "92b798c"),
+    Equivalent("send-end-not-closed", SEARCH,
+               "    send.close()\n", "",
+               "in CPython Process.start() drops its args, so the local's last reference "
+               "closes the send end when _start_helper returns",
+               "a6a0667"),
+)
+
+#: Reported mutants whose old text no longer exists, with the change that
+#: removed it.  Every case reported so far still applies.
+RETIRED: tuple[Retired, ...] = ()

@@ -17,12 +17,11 @@ from .errors import FactorBoundError
 # is a proven deterministic test for every n below the limit.  Up to
 # 341 550 071 728 321 the rungs come from C. Pomerance, J. L. Selfridge and
 # S. S. Wagstaff, Math. Comp. 35 (1980), and G. Jaeschke, Math. Comp. 61
-# (1993); the higher ones are later results.  No rung uses more witnesses
-# than the one above it.
+# (1993); the higher ones are later results.  Each rung uses more witnesses
+# than the one below it: Jaeschke's (31, 73) and (2, 7, 61) cover the limits
+# 1 373 653 of (2, 3) and 25 326 001 of (2, 3, 5) with as many.
 _MR_LADDER: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (1_373_653, (2, 3)),
     (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1662803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),

@@ -7,8 +7,8 @@ Exit codes are part of the contract:
   2  theorem violation: a hit in a range a theorem proves empty, a failing
      certificate, or a tripped internal consistency check
   3  I/O error: an unwritable output, a checkpoint that is unreadable,
-     belongs to another search, or holds a hit the search does not find,
-     or a search helper process that died
+     belongs to another search, or lists other hits than the search finds
+     again at its q, or a search helper process that died
   130  interrupted (Ctrl-C); a search resumes from its checkpoint, if it
        has one, when the same command is run again
 """

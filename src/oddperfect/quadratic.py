@@ -109,13 +109,15 @@ def trace_expansion(m: int, d: int) -> int:
 
     Returns 2 + 2 * sum_{i=1}^{floor(m/2)} C(m, 2i) * d^i.  The odd-index
     binomial terms carry the sign ambiguity and cancel against the conjugate,
-    so both sign choices share this value.
+    so both sign choices share this value.  Each term is the one before times
+    d * (m-2i+2)(m-2i+1) / ((2i-1)*2i), a division that is exact.
     """
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    total = 1
+    total = term = 1
     for i in range(1, m // 2 + 1):
-        total += math.comb(m, 2 * i) * d**i
+        term = term * d * (m - 2 * i + 2) * (m - 2 * i + 1) // ((2 * i - 1) * 2 * i)
+        total += term
     return 2 * total
 
 

@@ -233,14 +233,16 @@ def _alpha_masks(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
-    """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi).
-
-    Runs in the parent or in a helper process.  A prime's alpha mask is the
-    AND of its residue's row in each modulus's table and of cfg's alpha
-    window; each alpha whose bit survives gets the exact sigma and square test.
-    """
+    """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi)."""
     cfg, lo, hi = args
     primes = _eligible(lo, hi, cfg.residue_filter)
+    return len(primes), _hits(cfg, primes)
+
+
+def _hits(cfg: SearchConfig, primes: np.ndarray) -> list[SolutionRecord]:
+    """cfg's records, in (q, alpha) order, at an ascending int64 array of primes:
+    a prime's alpha mask ANDs its residue's row in each modulus's table and cfg's
+    alpha window, and each alpha whose bit survives gets the exact test."""
     table, window = _alpha_masks(cfg)
     mask = np.tile(window, (len(primes), 1))
     # row j holds each prime's row in the tables of modulus j
@@ -251,7 +253,7 @@ def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[Solution
     which, alphas = np.unpackbits(mask[live].view(np.uint8), axis=1, bitorder="little").nonzero()
     pairs = zip(primes[live[which]].tolist(), alphas.tolist())
     records = [_solution(cfg.k, q, alpha) for q, alpha in pairs]
-    return len(primes), [record for record in records if record is not None]
+    return [record for record in records if record is not None]
 
 
 def _intervals(lo: int, hi: int):
@@ -385,11 +387,11 @@ def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
     """The largest q cfg's checkpoint has done, and the hits up to it, rescanned.
 
     Raises CheckpointError unless the file matches its digest and cfg, its
-    cursor fits cfg's q-range, and each hit is an ascending pair of ints that
-    cfg admits and rescanning finds again (README, "Long searches").  The
-    digest is a checksum, not a signature: a hit deleted and the digest
-    re-sealed goes unseen, so only a run without a checkpoint backs a claim
-    that a range is empty.
+    cursor fits cfg's q-range, and its hits are, in order, exactly those the
+    kernel finds at the stored q that cfg scans (README, "Long searches").
+    The digest is a checksum, not a signature: a q dropped with all its hits
+    and the digest re-sealed goes unseen, so only a run without a checkpoint
+    backs a claim that a range is empty.
     """
     path = cfg.checkpoint_path
     try:
@@ -414,25 +416,17 @@ def checkpoint_resume(cfg: SearchConfig) -> tuple[int, list[SolutionRecord]]:
     done, pairs = body["q_done"], body["hits"]
     if type(done) is not int or not cfg.q_min - 1 <= done <= cfg.q_max or type(pairs) is not list:
         raise CheckpointError(f"checkpoint {path} does not fit this search's q-range")
-    records: list[SolutionRecord] = []
-    for pair in pairs:
-        # type(x) is int: a JSON true or 1.0 is not a q or an alpha
-        ok = type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
-        if ok:
-            q, alpha = pair
-            ok = (
-                cfg.q_min <= q <= done
-                and cfg.residue_filter in (None, q % 4)
-                and cfg.alpha_min <= alpha <= cfg.alpha_max
-                and (not records or (records[-1].q, records[-1].alpha) < (q, alpha))
-                # the rescan alone would accept a composite q: sigma(8) = 3^2
-                and is_prime(q)
-            )
-        again = _solution(cfg.k, q, alpha) if ok else None
-        if again is None:
-            raise CheckpointError(
-                f"checkpoint {path} holds a hit this search does not find: "
-                f"{canonical_json(pair)}"
-            )
-        records.append(again)
+    # the stored q that cfg scans; the kernel alone would accept a composite q: sigma(8) = 3^2
+    listed = sorted({p[0] for p in pairs if type(p) is list and p and type(p[0]) is int})
+    qs = [q for q in listed if cfg.q_min <= q <= done and cfg.residue_filter in (None, q % 4)]
+    records = _hits(cfg, np.array([q for q in qs if is_prime(q)], dtype=np.int64))
+    found = [[r.q, r.alpha] for r in records]
+    # canonical JSON, not ==: a JSON true or 1.0 equals 1 but is no alpha
+    if canonical_json(found) != canonical_json(pairs):
+        known = set(map(canonical_json, found))
+        stray = [text for text in map(canonical_json, pairs) if text not in known]
+        raise CheckpointError(
+            f"checkpoint {path} holds a hit this search does not find: {stray[0]}" if stray
+            else f"checkpoint {path} misses, repeats or misorders a hit this search finds"
+        )
     return done, records

@@ -5,9 +5,10 @@ enumeration for sigma, trial division for primality and factors, crossing
 out the multiples of every d for a sieve, bisection for squareness.  Tests
 freeze expected values through these functions so the fast paths in the
 package are checked against a second opinion, never against themselves.
-certificate_ledger and is_prime_by_witnesses keep the certificate's
-per-summand formula and the primality test's per-witness loop as they stood
-before the package rewrote them as one pass and one gcd screen.
+certificate_ledger, is_prime_by_witnesses and trace_expansion_comb keep the
+certificate's per-summand formula, the primality test's per-witness loop and
+the trace's binomial sum as they stood before the package rewrote them as one
+pass, one gcd screen and a term-by-term product.
 The one exception is scan_shard_isqrt, the search kernel before its residue
 sieve, which uses the package's square test and split.  It imports them when
 called: perfbench/refs.py loads this module before the set-up probe times
@@ -211,6 +212,16 @@ def pascal_binomial(n: int, k: int) -> int:
     for _ in range(n):
         row = [1] + [row[j] + row[j + 1] for j in range(len(row) - 1)] + [1]
     return row[k]
+
+
+def trace_expansion_comb(m: int, d: int) -> int:
+    """2 + 2 * sum_{i=1}^{floor(m/2)} C(m, 2i) * d^i, each term from math.comb."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    total = 1
+    for i in range(1, m // 2 + 1):
+        total += math.comb(m, 2 * i) * d**i
+    return 2 * total
 
 
 def divides(x, y, /) -> bool:

@@ -63,17 +63,22 @@ class TestIsPrime:
     def test_strong_pseudoprimes_are_rejected(self):
         # the three smallest strong pseudoprimes to base 2, which the
         # smallest-prime-factor table answers, then the smallest to bases
-        # 2,3 / 2,3,5 / 2,3,5,7; 1373653 and 25326001 are the first numbers
-        # past the rung whose witnesses they fool
+        # 2,3 / 2,3,5 / 2,3,5,7; the rungs (31, 73) and (2, 7, 61) that
+        # cover the first two use other witnesses
         for n in (2047, 3277, 4033, 1373653, 25326001, 3215031751):
             assert not is_prime(n), n
             assert not is_prime_trial(n) if n < 10**7 else True
 
     def test_witness_counts_never_decrease_along_the_ladder(self):
         counts = [len(witnesses) for _, witnesses in arith._MR_LADDER]
-        assert counts == sorted(counts)
+        assert counts == sorted(set(counts))
         limits = [limit for limit, _ in arith._MR_LADDER]
         assert limits == sorted(set(limits))
+
+    def test_either_side_of_the_deleted_rungs(self):
+        # the limits of (2, 3) and (2, 3, 5), which the rungs above now cover
+        for n in (m + k for m in (1_373_653, 25_326_001) for k in range(-2, 3)):
+            assert is_prime(n) == is_prime_trial(n), n
 
     def test_deterministic_bound_documented(self):
         assert DETERMINISTIC_PRIME_BOUND == 3_317_044_064_679_887_385_961_981

@@ -17,7 +17,13 @@ from oddperfect.quadratic import (
     two_adic_certificate,
 )
 from oddperfect.search import canonical_json
-from _oracles import certificate_ledger, certificate_rational, divides, is_prime_trial
+from _oracles import (
+    certificate_ledger,
+    certificate_rational,
+    divides,
+    is_prime_trial,
+    trace_expansion_comb,
+)
 
 
 class TestQuadIntRing:
@@ -145,6 +151,12 @@ class TestTraceExpansion:
                 expected = trace_expansion(m, d)
                 assert (plus**m).trace() == expected, (q, m)
                 assert (minus**m).trace() == expected, (q, m)
+
+    def test_matches_the_binomial_sum(self):
+        # d = 1 - q for q = 1 and 3 mod 4, then d of either sign and parity, and 0
+        for d in [1 - q for q in (3, 5, 7, 13, 101, 10**9 + 7)] + [0, 1, -1, 2, 7**20]:
+            for m in range(1, 301):
+                assert trace_expansion(m, d) == trace_expansion_comb(m, d), (m, d)
 
 
 class TestRatioIdentity:

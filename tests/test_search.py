@@ -643,10 +643,12 @@ class TestCheckpointing:
         (TWO_NSQ_FROM_20, lambda p, hits: hits.insert(0, [17, 1])),
         (TWO_NSQ, lambda p, hits: p.update(q_done=p["config"]["q_min"] - 2, hits=[])),
         (dict(NSQ_FROM_1, q_min=2), lambda p, hits: p.update(q_done=True, hits=[])),
+        (NSQ_FROM_1, lambda p, hits: hits.remove([3, 4])),
     ], ids=["not_a_hit", "wrong_equation", "duplicate", "descending", "alpha_out_of_range",
             "q_not_eligible", "q_above_q_max", "q_not_int", "alpha_not_int", "not_a_pair",
             "hits_not_a_list", "q_beyond_cursor", "cursor_beyond_primes", "cursor_not_int",
-            "q_not_prime", "q_below_q_min", "cursor_below_q_min", "cursor_true"])
+            "q_not_prime", "q_below_q_min", "cursor_below_q_min", "cursor_true",
+            "hit_missing_at_a_listed_q"])
     def test_resumed_hits_are_verified(self, tmp_path, search, edit):
         # each edit re-seals the digest, so the checks behind it must refuse
         path = tmp_path / "scan.ckpt"
@@ -654,6 +656,17 @@ class TestCheckpointing:
         assert len(run_search(cfg).records) in (2, 3)
         rewrite(path, edit)
         with pytest.raises(CheckpointError):
+            run_search(cfg)
+
+    def test_a_stray_pair_is_named_and_a_missing_hit_is_not(self, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        cfg = SearchConfig(q_max=300, checkpoint_path=str(path), **NSQ_FROM_1)
+        run_search(cfg)
+        rewrite(path, lambda p, hits: hits.append([8, True]))
+        with pytest.raises(CheckpointError, match=r"does not find: \[8,true\]$"):
+            run_search(cfg)
+        rewrite(path, lambda p, hits: (hits.pop(), hits.remove([3, 4])))
+        with pytest.raises(CheckpointError, match="misses, repeats or misorders a hit"):
             run_search(cfg)
 
     def test_every_unsealed_byte_edit_is_refused(self, tmp_path):
