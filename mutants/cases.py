@@ -53,8 +53,11 @@ T_QUADRATIC = "tests/test_quadratic.py::"
 
 #: The change that split the search kernel from its sieve and resumes through it.
 HIT_TEST = "one hit test for the scan and the resume"
+#: The change that starts the search helpers only when the shards left pay for them.
+LATE_HELPERS = "Search helpers start only when the shards left pay for them"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
+_HELPER_START = T_SEARCH + "TestHelperStart::"
 
 CASES: tuple[Mutant, ...] = (
     # factorize in one path
@@ -141,7 +144,7 @@ CASES: tuple[Mutant, ...] = (
            "03dbaad"),
     # streaming helpers
     Mutant("parent-takes-the-wrong-shards", SEARCH,
-           "if i % workers:", "if i % workers != 1:",
+           "            if turn:\n", "            if turn != 1:\n",
            (T_SEARCH + "TestWorkerDeterminism::test_output_identical_for_1_2_8_workers",
             T_SEARCH + "TestWorkerCap::test_pool_never_exceeds_shards_or_cpus[4_shards]"),
            "a6a0667"),
@@ -163,22 +166,11 @@ CASES: tuple[Mutant, ...] = (
             T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers",
             T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two"),
            "a6a0667"),
+    # helpers that start before shard 0 then fork before the parent's first
+    # shard builds the tables
     Mutant("tables-built-after-the-fork", SEARCH,
-           "    _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them\n"
-           "    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))\n"
-           "    # never more processes than there is work or CPUs this process may use\n"
-           "    workers = min(cfg.worker_count, shards, _usable_cpus())\n"
-           "    helpers = []\n"
-           "    try:\n"
-           "        for first in range(1, workers):\n"
-           "            helpers.append(_start_helper(cfg, lo, first, workers))\n",
-           "    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))\n"
-           "    workers = min(cfg.worker_count, shards, _usable_cpus())\n"
-           "    helpers = []\n"
-           "    try:\n"
-           "        for first in range(1, workers):\n"
-           "            helpers.append(_start_helper(cfg, lo, first, workers))\n"
-           "        _alpha_masks(cfg)\n",
+           "    _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them\n",
+           "",
            (T_SEARCH + "TestWorkerCap::test_tables_are_built_before_the_pool_starts",),
            "a6a0667"),
     # the parent keeps a send end open, so a dead helper's EOF never comes: the
@@ -228,6 +220,28 @@ CASES: tuple[Mutant, ...] = (
            (T_ARITH + "TestIsPrime::test_strong_pseudoprimes_are_rejected",
             T_ARITH + "TestIsPrime::test_either_side_of_the_deleted_rungs"),
            HIT_TEST),
+    # search helpers start only when the shards left pay for them
+    Mutant("identity-m-max-unbounded", QUADRATIC,
+           "    if m_max > SWEEP_M_BOUND:", "    if False:",
+           (T_QUADRATIC + "TestIdentitySweep::test_m_max_past_its_bound_rejected_before_any_trace",
+            T_CLI + "TestIdentityMMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[1_001]"),
+           LATE_HELPERS),
+    Mutant("helpers-start-only-past-break-even", SEARCH,
+           "rest * (1 - 1 / workers) >= (workers - 1) * HELPER_START_S",
+           "rest * (1 - 1 / workers) > (workers - 1) * HELPER_START_S",
+           (_HELPER_START + "test_helpers_start_at_the_break_even_point[break_even]",
+            T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers"),
+           LATE_HELPERS),
+    Mutant("helpers-start-at-the-scan-start", SEARCH,
+           "_start_helper(cfg, a, first, workers)", "_start_helper(cfg, lo, first, workers)",
+           (_HELPER_START + "test_slow_shards_start_the_helpers_after_the_first",
+            _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
+           LATE_HELPERS),
+    Mutant("turns-counted-from-the-scan-start", SEARCH,
+           "(i - switch) % workers", "i % workers",
+           (_HELPER_START + "test_slow_shards_start_the_helpers_after_the_first",
+            _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
+           LATE_HELPERS),
 )
 
 EQUIVALENT: tuple[Equivalent, ...] = (

@@ -22,6 +22,11 @@ ALPHA_BOUND = 1_000_001
 #: The largest q_max identity_sweep accepts: it lists every prime up to q_max
 #: first; at this bound a sweep with m_max = 1 takes about 1 s (2-CPU Intel Xeon).
 SWEEP_Q_BOUND = 10**6
+#: The largest m_max identity_sweep accepts: each prime's trace comparison grows
+#: faster than m_max^2, and at this bound a sweep over the 46 primes up to 200 takes
+#: about 18 s at a flat 33 MB (2-CPU Intel Xeon).  The certificate's
+#: m = (alpha - 3) / 2 is at most 499 for the paper's alpha <= 1001.
+SWEEP_M_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[
     and (1 - sqrt(1-q))^m for primes q <= q_max and 1 <= m <= m_max; the
     ratio identity is checked for 4 <= m <= ratio_m_max and 2 <= i <= m/2.
     A negative bound raises ValueError: it would make the sweep pass vacuously;
-    so does q_max above SWEEP_Q_BOUND.
+    so do q_max above SWEEP_Q_BOUND and m_max above SWEEP_M_BOUND.
     """
     if min(m_max, q_max, ratio_m_max) < 0:
         raise ValueError(
@@ -148,6 +153,8 @@ def identity_sweep(m_max: int, q_max: int, ratio_m_max: int) -> dict[str, tuple[
         )
     if q_max > SWEEP_Q_BOUND:
         raise ValueError(f"q_max must be <= {SWEEP_Q_BOUND}, got {q_max}")
+    if m_max > SWEEP_M_BOUND:
+        raise ValueError(f"m_max must be <= {SWEEP_M_BOUND}, got {m_max}")
     trace_checked = trace_failed = 0
     for q in primes_upto(q_max):
         d = 1 - q

@@ -6,7 +6,8 @@ whether sigma(q^alpha) = k*n^2 for the configured k: twice a square (k = 2,
 q-intervals of SHARD_WIDTH numbers, each of which sieves its own primes, so
 the merged output is byte-identical for any worker count, which is what
 makes golden-file and resume testing possible.  With N workers the calling
-process scans every N-th shard and merges the rest from N - 1 helper processes.
+process scans alone until the shards left pay for starting N - 1 helper
+processes; from then on it scans every N-th shard and merges the rest from them.
 
 sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
 and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
@@ -27,6 +28,7 @@ import math
 import multiprocessing
 import os
 import signal
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,12 @@ from .errors import CheckpointError, ConsistencyError
 #: useful; a shard's result crosses a helper's pipe in about 11 us, against
 #: 0.4-16 ms to scan a shard near q = 1e9 (2-CPU Xeon, CPython 3.11.7).
 SHARD_WIDTH = 1 << 14
+
+#: Seconds that one helper process adds to a scan: about 5 ms, of which 0.9-1.5 ms
+#: in start(), 2.2-2.8 ms until the child runs its target, 1.0-1.4 ms more for its
+#: first shard than for its next, and 0.9-1.2 ms in join() (medians of 20 starts,
+#: 2-vCPU VM, CPython 3.11.7).
+HELPER_START_S = 5e-3
 
 #: The residue sieve's moduli: sigma(q^alpha) mod m depends on q mod m and alpha only.
 _SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
@@ -292,23 +300,34 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _shard_results(cfg: SearchConfig, lo: int):
     """(last q, primes scanned, records) of each shard of [lo, q_max], in order.
 
-    The parent is one of w workers: it scans shards 0, w, 2w, ... itself,
-    helper j (1 <= j < w) scans shards j, j + w, ..., and the parent reads
-    each helper's results from its pipe in shard order.
+    The parent is one of w workers.  It scans alone until the rest pays for
+    the helpers: before shard i, the mean time of its shards so far times the
+    shards left, cut by 1 - 1/w, must reach w - 1 helper starts.  From then on
+    it scans shards i, i + w, ... itself, helper j (1 <= j < w) scans shards
+    i + j, i + j + w, ..., and the parent reads each helper's results from its
+    pipe in shard order.
     """
     _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
     # never more processes than there is work or CPUs this process may use
     workers = min(cfg.worker_count, shards, _usable_cpus())
-    helpers = []
+    helpers, switch, spent = [], None, 0.0
     try:
-        for first in range(1, workers):
-            helpers.append(_start_helper(cfg, lo, first, workers))
         for i, (a, b) in enumerate(_intervals(lo, cfg.q_max)):
-            if i % workers:
-                yield b, *_receive(helpers[i % workers - 1][1], a, b)
+            # the time still to come: the mean of the parent's shards so far, times the shards left
+            rest = spent / max(i, 1) * (shards - i)
+            if switch is None and rest * (1 - 1 / workers) >= (workers - 1) * HELPER_START_S:
+                switch = i
+                for first in range(1, workers):
+                    helpers.append(_start_helper(cfg, a, first, workers))
+            turn = 0 if switch is None else (i - switch) % workers
+            if turn:
+                yield b, *_receive(helpers[turn - 1][1], a, b)
             else:
-                yield b, *_scan_shard((cfg, a, b))
+                start = time.perf_counter()
+                count, hits = _scan_shard((cfg, a, b))
+                spent += time.perf_counter() - start
+                yield b, count, hits
     except BaseException:
         # Ctrl-C, a failed shard or an abandoned scan: stop every helper at once
         for process, _ in helpers:

@@ -520,6 +520,28 @@ class TestIdentityQMaxBound:
             "check": "trace_expansion", "checked": 78_498, "failed": 0}
 
 
+class TestIdentityMMaxBound:
+    """identity's trace comparison grows faster than --m-max squared; past its bound
+    --m-max is a usage error."""
+
+    @pytest.mark.parametrize("m_max", ["1_001", "1_000_000_000_000"])
+    def test_past_the_bound_exits_one_under_a_memory_limit(self, m_max):
+        done = _limited_child("-m", "oddperfect", "identity", "--m-max", m_max,
+                              "--q-max", "2", "--ratio-m-max", "0")
+        assert done.returncode == 1 and done.stdout == ""
+        value = int(m_max.replace("_", ""))
+        assert done.stderr == f"error: m_max must be <= 1000, got {value}\n"
+
+    def test_the_bound_itself_fits_under_the_limit(self):
+        assert quadratic.SWEEP_M_BOUND == 1000
+        done = _limited_child("-m", "oddperfect", "identity", "--m-max", "1_000",
+                              "--q-max", "2", "--ratio-m-max", "0", "--format", "jsonl")
+        assert done.returncode == 0, done.stderr
+        # m = 1..1000 for the one prime q = 2
+        assert json.loads(done.stdout.splitlines()[0]) == {
+            "check": "trace_expansion", "checked": 1000, "failed": 0}
+
+
 class TestCertifyAlphaBound:
     """certify lists about alpha / 4 summands; past its bound alpha is a usage error."""
 

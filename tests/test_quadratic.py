@@ -211,6 +211,17 @@ class TestIdentitySweep:
         with pytest.raises(AssertionError, match="primes listed"):
             identity_sweep(1, bound, 0)
 
+    def test_m_max_past_its_bound_rejected_before_any_trace(self, monkeypatch):
+        def refuse(m, d):
+            raise AssertionError(f"trace expanded at m = {m}")
+
+        monkeypatch.setattr(oddperfect.quadratic, "trace_expansion", refuse)
+        bound = oddperfect.quadratic.SWEEP_M_BOUND
+        with pytest.raises(ValueError, match=f"m_max must be <= {bound}, got {bound + 1}"):
+            identity_sweep(bound + 1, 2, 0)
+        with pytest.raises(AssertionError, match="trace expanded"):
+            identity_sweep(bound, 2, 0)
+
 
 class TestTwoAdicCertificate:
     def test_empty_sum_case(self):

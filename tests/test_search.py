@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import resource
 import subprocess
 import sys
 import time
@@ -203,10 +204,14 @@ SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
 
 
 class TestKernelAgainstOracle:
-    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    # at a helper cost of 0 the helpers start before shard 0, so real helpers meet the oracle
+    @pytest.mark.parametrize("jobs, cost", [(1, None), (2, None), (8, None), (2, 0), (8, 0)],
+                             ids=["1", "2", "8", "2_cost_0", "8_cost_0"])
     @pytest.mark.parametrize("cfg", CRITERIA, ids=["c01", "c02", "c02_contrast", "c03",
                                                    "c09_2nsq", "c09_nsq"])
-    def test_criterion_configs(self, cfg, jobs):
+    def test_criterion_configs(self, monkeypatch, cfg, jobs, cost):
+        if cost is not None:
+            monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
         assert run_search(replace(cfg, worker_count=jobs)).to_jsonl() == oracle_jsonl(cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -384,13 +389,15 @@ class TestWorkerDeterminism:
 @pytest.fixture
 def fake_helpers(monkeypatch):
     """A helper launcher that starts no process: a helper scans its next shard
-    in this process when the parent reads from its pipe.
+    in this process when the parent reads from its pipe.  Helpers cost
+    nothing to start, so the parent starts them before shard 0.
 
     It records each helper's (first, step), its payload as pickled, how many
-    residue tables were built when it started, and how many results the
-    parent has read.
+    residue tables were built when it started, how many results the parent
+    has read, and the (first, q) at which each helper's shards begin.
     """
-    seen = SimpleNamespace(strides=[], payloads=[], tables=[], received=0)
+    seen = SimpleNamespace(strides=[], payloads=[], tables=[], received=0, scanned=[])
+    monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
 
     def start(*payload):
         cfg, lo, first, step = payload
@@ -401,7 +408,9 @@ def fake_helpers(monkeypatch):
 
         def recv():
             seen.received += 1
-            return oddperfect.search._scan_shard((cfg, *next(shards)))
+            a, b = next(shards)
+            seen.scanned.append((first, a))
+            return oddperfect.search._scan_shard((cfg, a, b))
 
         process = SimpleNamespace(kill=lambda: None, join=lambda: None)
         return process, SimpleNamespace(recv=recv, close=lambda: None)
@@ -494,6 +503,7 @@ class TestPoolLifetime:
     def two_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from shard 0
 
     def test_workers_exit_before_the_call_returns(self):
         before = set(multiprocessing.active_children())
@@ -534,6 +544,7 @@ DEAD_HELPER = f"""
 import multiprocessing, os, sys
 from oddperfect import cli, search
 search.SHARD_WIDTH = {NARROW}
+search.HELPER_START_S = 0
 search._usable_cpus = lambda: 3
 scan = search._scan_shard
 search._scan_shard = lambda args: os._exit(1) if args[1] == 3 + 2 * {NARROW} else scan(args)
@@ -551,6 +562,7 @@ class TestHelperFailures:
     def three_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from shard 0
         self.before = set(multiprocessing.active_children())
         yield
         assert set(multiprocessing.active_children()) - self.before == set()
@@ -603,6 +615,141 @@ class TestHelperFailures:
         resumed = capsys.readouterr().out
         assert oddperfect.cli.run(THREE_WORKERS) == 0
         assert resumed == capsys.readouterr().out
+
+
+#: The cost of starting a helper as the module sets it, before any test patches it.
+HELPER_START_S = oddperfect.search.HELPER_START_S
+
+
+def slow_parent_clock(monkeypatch, seconds=0.5):
+    """Make the search's clock say that each shard the parent scans takes seconds."""
+    ticks = itertools.count(0, seconds)
+    clock = SimpleNamespace(perf_counter=lambda: next(ticks))
+    monkeypatch.setattr(oddperfect.search, "time", clock)
+
+
+def record_cursors(monkeypatch) -> list:
+    """The q_done of every checkpoint the search writes from now on."""
+    real, cursors = oddperfect.search.checkpoint_save, []
+
+    def save(cfg, q_done, records):
+        cursors.append(q_done)
+        real(cfg, q_done, records)
+
+    monkeypatch.setattr(oddperfect.search, "checkpoint_save", save)
+    return cursors
+
+
+#: Takes the first shard of a scan up to Q_MAX_BOUND at --jobs 2, with the
+#: helper cost as set and at 0, and prints that shard's last q and the seconds
+#: it took.
+FIRST_OF_MANY = """
+import sys, time
+from oddperfect import search
+search._usable_cpus = lambda: 2
+for cost in (search.HELPER_START_S, 0):
+    search.HELPER_START_S = cost
+    cfg = search.SearchConfig(2, q_max=search.Q_MAX_BOUND, alpha_max=9, worker_count=2)
+    start = time.perf_counter()
+    scan = search._shard_results(cfg, cfg.q_min)
+    print(next(scan)[0], time.perf_counter() - start)
+    scan.close()
+"""
+
+
+def _limit_address_space():
+    """Runs in the child between fork and exec: 512 MB, and this process is not limited."""
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+class TestHelperStart:
+    """The parent scans alone until the time its shards still need pays for
+    starting the helpers; the shards, the output and the checkpoints stay the same."""
+
+    def test_a_few_fast_shards_start_no_helper(self, monkeypatch, fake_helpers):
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        cfg = two_nsq(q_max=3000, alpha_max=9)
+        expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
+        # 4 shards of about 0.2 ms: before shard 1 a helper would save 0.3 ms of the 0.6 ms left
+        assert run_search(replace(cfg, worker_count=2)).to_jsonl() == expected
+        assert fake_helpers.strides == []
+
+    def test_slow_shards_start_the_helpers_after_the_first(
+        self, monkeypatch, fake_helpers, tmp_path
+    ):
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        slow_parent_clock(monkeypatch)
+        cursors = record_cursors(monkeypatch)
+        runs = []
+        for jobs in (1, 3):
+            path = tmp_path / f"jobs_{jobs}.ckpt"
+            cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=jobs, checkpoint_path=str(path))
+            runs.append((run_search(cfg).to_jsonl(), path.read_bytes(), cursors[:]))
+            cursors.clear()
+        assert runs[0] == runs[1]
+        assert runs[0][2] == [102 + 100 * i for i in range(29)] + [3000]
+        # 30 shards from q = 3: helper j takes shards 1 + j, 1 + j + 3, ...
+        assert fake_helpers.strides == [(1, 3), (2, 3)]
+        assert sorted(fake_helpers.scanned) == [
+            (j, 3 + 100 * i) for j in (1, 2) for i in range(1 + j, 30, 3)
+        ]
+
+    @pytest.mark.parametrize("cost, strides", [(0.75, [(1, 2)]), (0.76, [])],
+                             ids=["break_even", "past_break_even"])
+    def test_helpers_start_at_the_break_even_point(self, monkeypatch, fake_helpers, cost, strides):
+        # 4 shards of 0.5 s at --jobs 2: before shard 1 the 1.5 s left would
+        # take 0.75 s with one helper, the most one helper start may cost
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        slow_parent_clock(monkeypatch)
+        cfg = two_nsq(q_max=3000, alpha_max=9)
+        report = run_search(replace(cfg, worker_count=2))
+        assert fake_helpers.strides == strides
+        assert report.to_jsonl() == run_search(cfg).to_jsonl()
+
+    def test_interrupt_after_the_switch_resumes_to_the_same_bytes(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        slow_parent_clock(monkeypatch)
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=2, checkpoint_path=str(path))
+        before, parent, scanned = set(multiprocessing.active_children()), os.getpid(), []
+
+        def scan(args):
+            if os.getpid() == parent:
+                scanned.append(args[1])
+                if args[1] == 3 + 3 * NARROW:
+                    raise KeyboardInterrupt
+            return _real_scan_shard(args)
+
+        with monkeypatch.context() as m:
+            m.setattr(oddperfect.search, "_scan_shard", scan)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(cfg)
+        # a real helper started before shard 1 and scanned shard 2, which was merged
+        assert scanned == [3, 3 + NARROW, 3 + 3 * NARROW]
+        assert json.loads(path.read_text())["q_done"] == 3 + 3 * NARROW - 1
+        assert set(multiprocessing.active_children()) - before == set()
+        resumed, checkpoint = run_search(cfg).to_jsonl(), path.read_bytes()
+        clean = replace(cfg, worker_count=1, checkpoint_path=str(tmp_path / "clean.ckpt"))
+        assert resumed == run_search(clean).to_jsonl()
+        assert checkpoint == (tmp_path / "clean.ckpt").read_bytes()
+
+    def test_first_shard_of_the_largest_range_comes_at_once(self):
+        # about 1.7e10 shards: a list of them would not fit under the limit
+        env = {**os.environ, "PYTHONPATH": str(Path(oddperfect.search.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        child = subprocess.run([sys.executable, "-c", FIRST_OF_MANY], env=env, text=True,
+                               capture_output=True, timeout=60, preexec_fn=_limit_address_space)
+        assert child.returncode == 0, child.stderr
+        lines = [line.split() for line in child.stdout.splitlines()]
+        assert [q for q, _ in lines] == ["16386", "16386"]
+        assert all(float(seconds) < 5 for _, seconds in lines)
 
 
 # nsq hits (3, 4, 11) and (7, 3, 20); the hit (3, 1, 2) has alpha out of range
