@@ -45,19 +45,25 @@ ARITH = "src/oddperfect/arith.py"
 SEARCH = "src/oddperfect/search.py"
 CLI = "src/oddperfect/cli.py"
 QUADRATIC = "src/oddperfect/quadratic.py"
+CLASSIFY = "src/oddperfect/classify.py"
 
 T_ARITH = "tests/test_arith.py::"
 T_SEARCH = "tests/test_search.py::"
 T_CLI = "tests/test_cli.py::"
 T_QUADRATIC = "tests/test_quadratic.py::"
+T_CLASSIFY = "tests/test_classify.py::"
 
 #: The change that split the search kernel from its sieve and resumes through it.
 HIT_TEST = "one hit test for the scan and the resume"
 #: The change that starts the search helpers only when the shards left pay for them.
 LATE_HELPERS = "Search helpers start only when the shards left pay for them"
+#: The change that makes the search subcommand a thin shell over SearchConfig.
+THIN_SEARCH = "`oddperfect search` restates nothing"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
+_PRIMES_BETWEEN = T_ARITH + "TestPrimesBetween::"
+_HUGE_N = T_CLI + "TestViolationDetector::test_huge_n_is_printed_and_judged_whole"
 
 CASES: tuple[Mutant, ...] = (
     # factorize in one path
@@ -242,6 +248,78 @@ CASES: tuple[Mutant, ...] = (
            (_HELPER_START + "test_slow_shards_start_the_helpers_after_the_first",
             _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
            LATE_HELPERS),
+    # search kernel v3, reported in prose and written as cases here
+    Mutant("alpha-window-ignored", SEARCH,
+           "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",
+           "    bits = (1 << 64 * words) - 1\n",
+           (T_SEARCH + "TestAlphaTables::test_alpha_window",
+            T_SEARCH + "TestKernelAgainstOracle::test_edge_ranges"),
+           "da9813d"),
+    Mutant("last-modulus-skipped", SEARCH,
+           "    for rows in primes % _SIEVE_M + _SIEVE_ROWS:",
+           "    for rows in (primes % _SIEVE_M + _SIEVE_ROWS)[:-1]:",
+           (T_SEARCH + "TestKernelAgainstOracle::test_large_q_and_alpha",),
+           "da9813d"),
+    Mutant("first-modulus-64", SEARCH,
+           "_SIEVE_MODULI = (128, 9,", "_SIEVE_MODULI = (64, 9,",
+           (T_SEARCH + "TestKernelAgainstOracle::test_sieve_moduli",
+            T_SEARCH + "TestAlphaTables::test_two_nsq_mod_128_rows_clear_every_even_alpha"),
+           "da9813d"),
+    Mutant("table-bit-one-alpha-late", SEARCH,
+           "        bits[alpha] = square[offset + sigma]\n"
+           "        power = power * r % m\n        sigma = (sigma + power) % m\n",
+           "        power = power * r % m\n        sigma = (sigma + power) % m\n"
+           "        bits[alpha] = square[offset + sigma]\n",
+           (T_SEARCH + "TestAlphaTables::test_every_bit_against_exact_sigma",),
+           "da9813d"),
+    Mutant("alpha-bound-times-ten", SEARCH,
+           "ALPHA_MAX_BOUND = 10_000", "ALPHA_MAX_BOUND = 100_000",
+           (T_SEARCH + "TestAlphaBound::test_bound_is_enforced",
+            T_CLI + "TestAlphaMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[10_001]"),
+           "da9813d"),
+    Mutant("scatter-one-multiple-short", ARITH,
+           "np.maximum(size - first + large - 1, 0) // large",
+           "np.maximum(size - first - 1, 0) // large",
+           (_PRIMES_BETWEEN + "test_base_primes_either_side_of_256",
+            _PRIMES_BETWEEN + "test_default_segment_boundary"),
+           "da9813d"),
+    Mutant("root-cut-one-prime-short", ARITH,
+           'np.searchsorted(large, root, side="right")', 'np.searchsorted(large, root, side="left")',
+           (_PRIMES_BETWEEN + "test_base_primes_either_side_of_256",),
+           "da9813d"),
+    Mutant("small-slices-one-stride-late", ARITH,
+           "flags[max(p * p - start, -start % p) :: p] = False",
+           "flags[max(p * p - start, -start % p) + p :: p] = False",
+           (_PRIMES_BETWEEN + "test_empty_and_degenerate_intervals",
+            _PRIMES_BETWEEN + "test_squares_and_segment_boundaries"),
+           "da9813d"),
+    # one-pass Chen-Luo ledger
+    Mutant("ledger-a-and-b-swapped", CLASSIFY,
+           "(p, e, v2(p + 1) - 1, v2(e + 1) - 1)", "(p, e, v2(e + 1) - 1, v2(p + 1) - 1)",
+           (T_CLASSIFY + "TestChenLuo::test_terms_match_trial_division",),
+           "a84601e"),
+    # the search subcommand as a thin shell over SearchConfig
+    Mutant("search-dest-names-no-field", CLI,
+           'dest="worker_count"', 'dest="workers"',
+           (T_CLI + "TestSearchFlags::test_every_flag_sets_its_field",),
+           THIN_SEARCH),
+    Mutant("search-text-prints-an-absent-split", CLI,
+           "if value is not None and key not in", "if key not in",
+           (T_CLI + "test_golden_output[search_nsq_jobs1]",),
+           THIN_SEARCH),
+    Mutant("violations-printed-after-the-limit-is-restored", CLI,
+           "            violations = list(violations)\n"
+           "            for line in violations:\n"
+           "                print(f\"theorem violation: {line}\", file=sys.stderr)\n"
+           "        finally:\n"
+           "            sys.set_int_max_str_digits(limit)\n",
+           "        finally:\n"
+           "            sys.set_int_max_str_digits(limit)\n"
+           "        violations = list(violations)\n"
+           "        for line in violations:\n"
+           "            print(f\"theorem violation: {line}\", file=sys.stderr)\n",
+           (_HUGE_N + "[forbidden-text]", _HUGE_N + "[forbidden-jsonl]"),
+           THIN_SEARCH),
 )
 
 EQUIVALENT: tuple[Equivalent, ...] = (
@@ -269,5 +347,12 @@ EQUIVALENT: tuple[Equivalent, ...] = (
 )
 
 #: Reported mutants whose old text no longer exists, with the change that
-#: removed it.  Every case reported so far still applies.
-RETIRED: tuple[Retired, ...] = ()
+#: removed it.
+RETIRED: tuple[Retired, ...] = (
+    Retired("odd-alpha-rule-dropped", "da9813d", "03dbaad",
+            "the parity mask is gone: for k = 2 the mod-128 rows clear every even alpha, "
+            "which TestAlphaTables::test_two_nsq_mod_128_rows_clear_every_even_alpha pins"),
+    Retired("tables-built-after-the-pool-starts", "da9813d", "a6a0667",
+            "the pool is gone; the same mutant on the helpers is the case "
+            "tables-built-after-the-fork"),
+)

@@ -45,35 +45,21 @@ class _Parser(argparse.ArgumentParser):
 
 # Each _cmd_* returns (params, records, summary, text, violations): the config
 # to hash, the JSONL records and summary, the text lines, and one line per
-# theorem violation.  run alone hashes, emits and judges them.
+# theorem violation.  run alone hashes, emits and judges them.  Text and
+# violations may be lazy: run formats them with the digit limit lifted.
 def _cmd_search(args):
-    cfg = SearchConfig(
-        k=next(k for k, name in EQUATIONS.items() if name == args.equation),
-        q_min=args.q_min,
-        q_max=args.q_max,
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        residue_filter=args.q_mod4,
-        worker_count=args.jobs,
-        checkpoint_path=args.checkpoint,
-    )
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("func", "format", "subcommand", "equation")}
+    cfg = SearchConfig(next(k for k, name in EQUATIONS.items() if name == args.equation), **flags)
     report = run_search(cfg)
-    text = [
-        f"q={r.q} alpha={r.alpha} n={r.n}"
-        + (f" n1={r.split[0]} n2={r.split[1]}" if r.split else "")
-        for r in report.records
-    ]
+    records = [r.as_dict() for r in report.records]
     summary = report.summary()
-    text.append(
-        f"scanned_primes={summary['scanned_primes']} "
-        f"skipped_even_alpha={summary['skipped_even_alpha']} hits={summary['hits']}"
-    )
-    violations = [
-        f"{EQUATIONS[r.k]} hit at q={r.q} alpha={r.alpha} n={r.n} with q = 1 mod 4"
-        for r in report.records
-        if r.q % 4 == 1 and (r.alpha > 1 or r.k == 1)
-    ]
-    return cfg.identity(), [r.as_dict() for r in report.records], summary, text, violations
+    text = (" ".join(f"{key}={value}" for key, value in d.items()
+                     if value is not None and key not in ("equation", "config_hash"))
+            for d in [*records, summary])
+    violations = (f"{EQUATIONS[r.k]} hit at q={r.q} alpha={r.alpha} n={r.n} with q = 1 mod 4"
+                  for r in report.records if r.q % 4 == 1 and (r.alpha > 1 or r.k == 1))
+    return cfg.identity(), records, summary, text, violations
 
 
 def _cmd_certify(args):
@@ -141,17 +127,21 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "jsonl"), default="text",
                        help="text for humans, jsonl for machines")
 
-    p = sub.add_parser("search", help="scan (q, alpha) ranges for equation solutions")
-    p.add_argument("--equation", choices=("2nsq", "nsq"), required=True,
-                   help="2nsq: 2n^2 = sigma(q^alpha); nsq: n^2 = sigma(q^alpha)")
-    p.add_argument("--q-min", type=int, default=3)
-    p.add_argument("--q-max", type=int, default=50_000)
-    p.add_argument("--alpha-min", type=int, default=1)
-    p.add_argument("--alpha-max", type=int, default=25)
-    p.add_argument("--q-mod4", type=int, choices=(1, 3), default=None,
+    # flags left out take SearchConfig's defaults; each dest is a field
+    p = sub.add_parser("search", help="scan (q, alpha) ranges for equation solutions",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--equation", choices=tuple(EQUATIONS.values()), required=True,
+                   help="; ".join(f"{name}: {'' if k == 1 else k}n^2 = sigma(q^alpha)"
+                                  for k, name in EQUATIONS.items()))
+    p.add_argument("--q-min", type=int)
+    p.add_argument("--q-max", type=int)
+    p.add_argument("--alpha-min", type=int)
+    p.add_argument("--alpha-max", type=int)
+    p.add_argument("--q-mod4", type=int, choices=(1, 3), dest="residue_filter",
                    help="restrict q to this residue mod 4")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file")
+    p.add_argument("--jobs", type=int, dest="worker_count", metavar="JOBS")
+    p.add_argument("--checkpoint", dest="checkpoint_path", metavar="CHECKPOINT",
+                   help="checkpoint file")
     common(p)
     p.set_defaults(func=_cmd_search)
 
@@ -211,10 +201,11 @@ def run(argv: list[str] | None = None) -> int:
                 for line in text:
                     print(line)
                 print(f"config: {summary['config_hash']}")
+            violations = list(violations)
+            for line in violations:
+                print(f"theorem violation: {line}", file=sys.stderr)
         finally:
             sys.set_int_max_str_digits(limit)
-        for line in violations:
-            print(f"theorem violation: {line}", file=sys.stderr)
         return EXIT_VIOLATION if violations else EXIT_OK
     except ConsistencyError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
@@ -226,7 +217,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
-        checkpoint = getattr(args, "checkpoint", None)
+        checkpoint = getattr(args, "checkpoint_path", None)
         resume = f"; rerun to resume from checkpoint {checkpoint}" if checkpoint else ""
         print(f"interrupted{resume}", file=sys.stderr)
         return EXIT_INTERRUPTED

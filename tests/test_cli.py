@@ -1,6 +1,7 @@
 """Tests for the command-line front end and its exit-code contract."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -189,6 +190,38 @@ class TestSearchCommand:
         assert ("scan.ckpt" in captured.err) == bool(checkpoint)
 
 
+class TestSearchFlags:
+    """Each search flag fills the SearchConfig field its dest names; a flag
+    left out leaves the field at SearchConfig's default."""
+
+    def config(self, monkeypatch, argv):
+        seen = []
+
+        def capture(cfg):
+            seen.append(cfg)
+            return SearchReport(cfg, (), 0, 0)
+
+        monkeypatch.setattr(cli, "run_search", capture)
+        assert cli.run(argv) == 0
+        (cfg,) = seen
+        return cfg
+
+    def test_no_flags_give_the_defaults(self, capsys, monkeypatch):
+        assert self.config(monkeypatch, ["search", "--equation", "nsq"]) == SearchConfig(1)
+
+    def test_every_flag_sets_its_field(self, capsys, monkeypatch):
+        argv = ["search", "--equation", "2nsq", "--q-min", "11", "--q-max", "1_013",
+                "--alpha-min", "5", "--alpha-max", "77", "--q-mod4", "3", "--jobs", "4",
+                "--checkpoint", "x.ckpt", "--format", "jsonl"]
+        cfg = self.config(monkeypatch, argv)
+        assert cfg == SearchConfig(2, q_min=11, q_max=1013, alpha_min=5, alpha_max=77,
+                                   residue_filter=3, worker_count=4, checkpoint_path="x.ckpt")
+        # the command line sets every field away from its default
+        default = SearchConfig(2)
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(SearchConfig) if f.name != "k")
+
+
 class TestViolationDetector:
     def fake_report(self, record):
         cfg = SearchConfig(record.k, q_min=3, q_max=100)
@@ -221,6 +254,30 @@ class TestViolationDetector:
         code = cli.run(["search", "--equation", "2nsq", "--q-max", "20",
                         "--q-mod4", "1", "--alpha-max", "1"])
         assert code == 0
+
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    @pytest.mark.parametrize("q, code", [(5, 2), (7, 0)], ids=["forbidden", "allowed"])
+    def test_huge_n_is_printed_and_judged_whole(self, capsys, monkeypatch, fmt, q, code):
+        # n = 10^5000 has 5001 digits, past the default limit of 4300
+        fake = SolutionRecord(2, q, 5, 10**5000, (1, 10**5000))
+        digits = "1" + "0" * 5000
+        monkeypatch.setattr(cli, "run_search", lambda cfg: self.fake_report(fake))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert cli.run(["search", "--equation", "2nsq", "--format", fmt]) == code
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        first = captured.out.splitlines()[0]
+        if fmt == "text":
+            assert first == f"q={q} alpha=5 n={digits} n1=1 n2={digits}"
+        else:
+            assert first == ('{"alpha":5,"equation":"2nsq",'
+                             f'"n":{digits},"n1":1,"n2":{digits},"q":{q}}}')
+        violation = f"theorem violation: 2nsq hit at q={q} alpha=5 n={digits} with q = 1 mod 4\n"
+        assert captured.err == (violation if code == 2 else "")
 
     def test_consistency_error_exits_two(self, capsys, monkeypatch):
         def boom(cfg):
@@ -558,6 +615,22 @@ class TestCertifyAlphaBound:
         assert done.returncode == 0, done.stderr
         record, summary = map(json.loads, done.stdout.splitlines())
         assert len(record["summands"]) == 249_999 and summary["passed"] is True
+
+
+class TestClassifyLimitMemory:
+    """The multiperfect scans sieve sigma in segments of 2^22 numbers, so a
+    limit past several segments still fits the memory of one."""
+
+    def test_multiperfect_past_three_segments_fits_under_the_limit(self):
+        done = _limited_child("-m", "oddperfect", "classify", "--multiperfect",
+                              "--limit", "10_000_000", "--format", "jsonl")
+        assert done.returncode == 0, done.stderr
+        *records, summary = map(json.loads, done.stdout.splitlines())
+        assert [(r["n"], r["k"]) for r in records] == [
+            (1, 1), (6, 2), (28, 2), (120, 3), (496, 2), (672, 3), (8128, 2),
+            (30240, 4), (32760, 4), (523776, 3), (2178540, 4),
+        ]
+        assert summary["hits"] == 11
 
 
 def test_parser_is_built_once():
