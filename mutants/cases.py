@@ -59,11 +59,22 @@ HIT_TEST = "one hit test for the scan and the resume"
 LATE_HELPERS = "Search helpers start only when the shards left pay for them"
 #: The change that makes the search subcommand a thin shell over SearchConfig.
 THIN_SEARCH = "`oddperfect search` restates nothing"
+#: The change that decides the search helpers from the shards left and
+#: requires SearchConfig's numbers to be ints.
+ONE_DECISION = "One decision starts the search helpers"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
 _PRIMES_BETWEEN = T_ARITH + "TestPrimesBetween::"
 _HUGE_N = T_CLI + "TestViolationDetector::test_huge_n_is_printed_and_judged_whole"
+#: The fields SearchConfig requires to be of type int, in the order search.py lists them.
+_INT_FIELDS = ("q_min", "q_max", "alpha_min", "alpha_max", "worker_count", "residue_filter")
+
+
+def _listed(fields: tuple[str, ...]) -> str:
+    """fields as search.py writes the tuple: ("q_min", "q_max", ...)."""
+    return str(fields).replace("'", '"')
+
 
 CASES: tuple[Mutant, ...] = (
     # factorize in one path
@@ -173,11 +184,11 @@ CASES: tuple[Mutant, ...] = (
             T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two"),
            "a6a0667"),
     # helpers that start before shard 0 then fork before the parent's first
-    # shard builds the tables
+    # shard builds the tables, and a first search times the build as shard time
     Mutant("tables-built-after-the-fork", SEARCH,
-           "    _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them\n",
-           "",
-           (T_SEARCH + "TestWorkerCap::test_tables_are_built_before_the_pool_starts",),
+           "    _alpha_masks(cfg)\n", "",
+           (T_SEARCH + "TestWorkerCap::test_tables_are_built_before_the_pool_starts",
+            _HELPER_START + "test_the_table_build_is_no_shard_time"),
            "a6a0667"),
     # the parent keeps a send end open, so a dead helper's EOF never comes: the
     # test's child hangs until its own 60 s timeout
@@ -233,21 +244,32 @@ CASES: tuple[Mutant, ...] = (
             T_CLI + "TestIdentityMMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[1_001]"),
            LATE_HELPERS),
     Mutant("helpers-start-only-past-break-even", SEARCH,
-           "rest * (1 - 1 / workers) >= (workers - 1) * HELPER_START_S",
-           "rest * (1 - 1 / workers) > (workers - 1) * HELPER_START_S",
+           "(shards - i) >= w * HELPER_START_S", "(shards - i) > w * HELPER_START_S",
            (_HELPER_START + "test_helpers_start_at_the_break_even_point[break_even]",
             T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers"),
            LATE_HELPERS),
     Mutant("helpers-start-at-the-scan-start", SEARCH,
-           "_start_helper(cfg, a, first, workers)", "_start_helper(cfg, lo, first, workers)",
+           "_start_helper(cfg, a, j, w)", "_start_helper(cfg, lo, j, w)",
            (_HELPER_START + "test_slow_shards_start_the_helpers_after_the_first",
             _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
            LATE_HELPERS),
     Mutant("turns-counted-from-the-scan-start", SEARCH,
-           "(i - switch) % workers", "i % workers",
+           "(i - switch) % (len(helpers) + 1)", "i % (len(helpers) + 1)",
            (_HELPER_START + "test_slow_shards_start_the_helpers_after_the_first",
             _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
            LATE_HELPERS),
+    # one decision starts the search helpers
+    Mutant("helper-cap-from-all-shards", SEARCH,
+           "min(cfg.worker_count, shards - i, _usable_cpus())",
+           "min(cfg.worker_count, shards, _usable_cpus())",
+           (_HELPER_START + "test_no_helper_for_a_shard_that_does_not_exist[2_shards]",),
+           ONE_DECISION),
+    *(Mutant(f"{name}-type-unchecked", SEARCH, _listed(_INT_FIELDS),
+             _listed(tuple(field for field in _INT_FIELDS if field != name)),
+             (T_SEARCH + f"TestConfig::test_numbers_must_be_ints[{name}-{value!r}]",),
+             ONE_DECISION)
+      for name, value in [("q_min", 3.5), ("q_max", 1e5), ("alpha_min", True),
+                          ("alpha_max", 25.0), ("worker_count", 2.0), ("residue_filter", 1.0)]),
     # search kernel v3, reported in prose and written as cases here
     Mutant("alpha-window-ignored", SEARCH,
            "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",

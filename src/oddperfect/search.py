@@ -6,8 +6,8 @@ whether sigma(q^alpha) = k*n^2 for the configured k: twice a square (k = 2,
 q-intervals of SHARD_WIDTH numbers, each of which sieves its own primes, so
 the merged output is byte-identical for any worker count, which is what
 makes golden-file and resume testing possible.  With N workers the calling
-process scans alone until the shards left pay for starting N - 1 helper
-processes; from then on it scans every N-th shard and merges the rest from them.
+process scans alone until the shards left pay for its helper processes, at most
+N - 1 and fewer than the shards left; then it scans its share and merges theirs.
 
 sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
 and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
@@ -102,6 +102,11 @@ class SearchConfig:
         # type(k) is int: True and 2.0 compare equal to a key but name no equation
         if type(self.k) is not int or self.k not in EQUATIONS:
             raise ValueError(f"k must be one of {sorted(EQUATIONS)}, got {self.k!r}")
+        # and every number is an int: 25.0 fails in the scan, 1.0 scans as 1 under another hash
+        for name in ("q_min", "q_max", "alpha_min", "alpha_max", "worker_count", "residue_filter"):
+            value = getattr(self, name)
+            if type(value) is not int and (value is not None or name != "residue_filter"):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.q_min > self.q_max:
             raise ValueError(f"q_min {self.q_min} > q_max {self.q_max}")
         if self.q_max > Q_MAX_BOUND:
@@ -300,27 +305,25 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _shard_results(cfg: SearchConfig, lo: int):
     """(last q, primes scanned, records) of each shard of [lo, q_max], in order.
 
-    The parent is one of w workers.  It scans alone until the rest pays for
-    the helpers: before shard i, the mean time of its shards so far times the
-    shards left, cut by 1 - 1/w, must reach w - 1 helper starts.  From then on
-    it scans shards i, i + w, ... itself, helper j (1 <= j < w) scans shards
-    i + j, i + j + w, ..., and the parent reads each helper's results from its
-    pipe in shard order.
+    The parent scans alone until the switch: the first shard i at which its mean
+    shard time so far times the shards left reaches w helper starts, for
+    w = min(worker_count, shards left, usable CPUs).  There helper j < w starts
+    on shards i + j, i + j + w, ..., the parent keeps i, i + w, ..., and it reads
+    each helper's results from its pipe in shard order.
     """
-    _alpha_masks(cfg)  # builds the tables before any helper forks: helpers inherit them
+    # the tables, built before shard 0, are no shard time, and forked helpers inherit them
+    _alpha_masks(cfg)
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
-    # never more processes than there is work or CPUs this process may use
-    workers = min(cfg.worker_count, shards, _usable_cpus())
     helpers, switch, spent = [], None, 0.0
     try:
         for i, (a, b) in enumerate(_intervals(lo, cfg.q_max)):
-            # the time still to come: the mean of the parent's shards so far, times the shards left
-            rest = spent / max(i, 1) * (shards - i)
-            if switch is None and rest * (1 - 1 / workers) >= (workers - 1) * HELPER_START_S:
-                switch = i
-                for first in range(1, workers):
-                    helpers.append(_start_helper(cfg, a, first, workers))
-            turn = 0 if switch is None else (i - switch) % workers
+            if switch is None:
+                w = min(cfg.worker_count, shards - i, _usable_cpus())
+                if spent / max(i, 1) * (shards - i) >= w * HELPER_START_S:
+                    switch = i
+                    for j in range(1, w):
+                        helpers.append(_start_helper(cfg, a, j, w))
+            turn = 0 if switch is None else (i - switch) % (len(helpers) + 1)
             if turn:
                 yield b, *_receive(helpers[turn - 1][1], a, b)
             else:

@@ -1,6 +1,7 @@
 """Tests for the Diophantine search engine and its checkpointing."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import multiprocessing
@@ -89,6 +90,15 @@ class TestConfig:
         # k names the equation: True and 2.0 equal a key of EQUATIONS but are no int
         with pytest.raises(ValueError, match=r"k must be one of \[1, 2\]"):
             SearchConfig(k, q_max=100)
+
+    @pytest.mark.parametrize("field, value", [
+        ("q_max", 1e5), ("q_min", 3.5), ("alpha_max", 25.0), ("worker_count", 2.0),
+        ("residue_filter", 1.0), ("residue_filter", True), ("alpha_min", True),
+    ])
+    def test_numbers_must_be_ints(self, field, value):
+        # each would fail in the scan, or search as the int it equals under another hash
+        with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
+            two_nsq(**{field: value})
 
     def test_hash_ignores_execution_knobs(self):
         a = nsq(q_max=100, worker_count=8, checkpoint_path="/anywhere")
@@ -385,6 +395,33 @@ class TestWorkerDeterminism:
         ]
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("cfg", [
+        two_nsq(q_min=3, q_max=50_000, alpha_min=3, alpha_max=25, residue_filter=1),
+        nsq(q_min=3, q_max=50_000, alpha_min=1, alpha_max=25, residue_filter=1),
+        nsq(q_min=3, q_max=50_000, alpha_min=1, alpha_max=25),
+        two_nsq(q_min=3, q_max=200, alpha_min=1, alpha_max=1),
+    ], ids=["2nsq_mod4_1", "nsq_mod4_1", "nsq", "2nsq_one_shard"])
+    def test_criterion_10_configs_with_helpers_from_shard_0(self, monkeypatch, tmp_path, cfg):
+        # criterion 10's shards are too fast to pay for a helper; here helpers start at once
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+        real, started = oddperfect.search._start_helper, []
+
+        def start(*args):
+            started.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oddperfect.search, "_start_helper", start)
+        shards = len(range(cfg.q_min, cfg.q_max + 1, oddperfect.search.SHARD_WIDTH))
+        runs = []
+        for w in (1, 2, 3, 8):
+            path = tmp_path / f"jobs_{w}.ckpt"
+            report = run_search(replace(cfg, worker_count=w, checkpoint_path=str(path)))
+            assert len(started) == min(w, shards, 3) - 1
+            started.clear()
+            runs.append((report.to_jsonl(), path.read_bytes()))
+        assert runs == [runs[0]] * 4
+
 
 @pytest.fixture
 def fake_helpers(monkeypatch):
@@ -676,6 +713,19 @@ class TestHelperStart:
         assert run_search(replace(cfg, worker_count=2)).to_jsonl() == expected
         assert fake_helpers.strides == []
 
+    def test_the_table_build_is_no_shard_time(self, monkeypatch, fake_helpers):
+        # a process's first search builds its residue tables, which no helper would speed up
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        cfg = two_nsq(q_max=3000, alpha_max=9)
+        expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
+        build = oddperfect.search._alpha_tables
+        slow = functools.cache(lambda k, words: time.sleep(0.1) or build(k, words))
+        monkeypatch.setattr(oddperfect.search, "_alpha_tables", slow)
+        assert run_search(replace(cfg, worker_count=2)).to_jsonl() == expected
+        assert slow.cache_info().currsize == 1 and fake_helpers.strides == []
+
     def test_slow_shards_start_the_helpers_after_the_first(
         self, monkeypatch, fake_helpers, tmp_path
     ):
@@ -710,6 +760,23 @@ class TestHelperStart:
         cfg = two_nsq(q_max=3000, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
         assert fake_helpers.strides == strides
+        assert report.to_jsonl() == run_search(cfg).to_jsonl()
+
+    @pytest.mark.parametrize("q_max, scanned", [(1500, []), (2250, [(1, 3 + 2 * NARROW)])],
+                             ids=["2_shards", "3_shards"])
+    def test_no_helper_for_a_shard_that_does_not_exist(
+        self, monkeypatch, fake_helpers, q_max, scanned
+    ):
+        # shards of 0.5 s at --jobs 2: the shards left pay for a helper before
+        # shard 1, and it starts only when a shard is left for its stride
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        slow_parent_clock(monkeypatch)
+        cfg = two_nsq(q_max=q_max, alpha_max=9)
+        report = run_search(replace(cfg, worker_count=2))
+        assert fake_helpers.strides == [(1, 2)] * len(scanned)
+        assert fake_helpers.scanned == scanned
         assert report.to_jsonl() == run_search(cfg).to_jsonl()
 
     def test_interrupt_after_the_switch_resumes_to_the_same_bytes(self, monkeypatch, tmp_path):
