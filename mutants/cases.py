@@ -62,9 +62,13 @@ THIN_SEARCH = "`oddperfect search` restates nothing"
 #: The change that decides the search helpers from the shards left and
 #: requires SearchConfig's numbers to be ints.
 ONE_DECISION = "One decision starts the search helpers"
+#: The change that checkpoints once per CHECKPOINT_SHARDS merged shards and when
+#: the scan stops, and recounts a resume CHECKPOINT_SHARDS shards per sieve call.
+CADENCE = "Checkpoint once per 16 merged shards"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
+_CADENCE = T_SEARCH + "TestCheckpointCadence::"
 _PRIMES_BETWEEN = T_ARITH + "TestPrimesBetween::"
 _HUGE_N = T_CLI + "TestViolationDetector::test_huge_n_is_printed_and_judged_whole"
 #: The fields SearchConfig requires to be of type int, in the order search.py lists them.
@@ -270,6 +274,23 @@ CASES: tuple[Mutant, ...] = (
              ONE_DECISION)
       for name, value in [("q_min", 3.5), ("q_max", 1e5), ("alpha_min", True),
                           ("alpha_max", 25.0), ("worker_count", 2.0), ("residue_filter", 1.0)]),
+    # checkpoints every 16 merged shards and at the stop
+    Mutant("stop-save-dropped", SEARCH,
+           "# and raise what stopped the scan\n                checkpoint_save(cfg, done, records)\n",
+           "# and raise what stopped the scan\n                pass\n",
+           (_CADENCE + "test_an_interrupt_between_saves_keeps_every_merged_shard",
+            T_SEARCH + "TestCheckpointing::test_fresh_interrupt_resume_cycle"),
+           CADENCE),
+    Mutant("save-cadence-one-shard-late", SEARCH,
+           "or not i % CHECKPOINT_SHARDS):", "or i % CHECKPOINT_SHARDS == 1):",
+           (_CADENCE + "test_saves_every_16_merged_shards_and_at_the_end",
+            _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
+           CADENCE),
+    Mutant("recount-one-short-of-the-cursor", SEARCH,
+           "_intervals(cfg.q_min, done, CHECKPOINT_SHARDS)",
+           "_intervals(cfg.q_min, done - 1, CHECKPOINT_SHARDS)",
+           (_CADENCE + "test_a_resume_recounts_the_primes_before_the_cursor",),
+           CADENCE),
     # search kernel v3, reported in prose and written as cases here
     Mutant("alpha-window-ignored", SEARCH,
            "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",

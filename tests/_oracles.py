@@ -323,3 +323,44 @@ def scan_shard_isqrt(args: tuple[tuple[int, ...], int, int, int]) -> list[tuple]
                 if n is not None:
                     hits.append((q, alpha, n, None))
     return hits
+
+
+#: The (q, alpha, n) with sigma(q^alpha) = n^2 at a prime q: q + 1 = 2^2, and
+#: the only two solutions of the Nagell-Ljunggren equation
+#: (q^(alpha+1) - 1)/(q - 1) = n^2, 3^5 = 11^2 * 2 + 1 and 7^4 = 20^2 * 6 + 1
+#: (W. Ljunggren, 1943).
+LJUNGGREN_HITS = ((3, 1, 2), (3, 4, 11), (7, 3, 20))
+
+#: The primes 3 <= q <= 10^7 that the search has scanned (pi(10^7) - 1), by the
+#: residue filter: none, q = 1 and q = 3 (mod 4).
+PRIME_COUNTS_1E7 = {None: 664_578, 1: 332_180, 3: 332_398}
+
+
+def predicted_hits(
+    k: int,
+    q_min: int,
+    q_max: int,
+    alpha_min: int,
+    alpha_max: int,
+    residue_filter: int | None = None,
+) -> list[tuple[int, int, int]]:
+    """The (q, alpha, n) that a search for sigma(q^alpha) = k*n^2 should report,
+    derived without a search.
+
+    For k = 1 they are the LJUNGGREN_HITS in range.  For k = 2 they are the
+    primes q = 2n^2 - 1 at alpha = 1, where sigma(q) = q + 1, and none at
+    alpha >= 2.  An even alpha makes sigma odd.  At odd alpha = 2h - 1 >= 3,
+    sigma(q^alpha) = sigma(q^(h-1)) * (q^h + 1) with a gcd dividing 2, so a hit
+    makes sigma(q^(h-1)) a square, one of the LJUNGGREN_HITS; and none of
+    their sigma(q^(2h-1)), 40, 29 524 and 960 800, is twice a square.
+    """
+    if k == 1:
+        hits = list(LJUNGGREN_HITS)
+    else:
+        top = math.isqrt((q_max + 1) // 2)
+        hits = [(2 * n * n - 1, 1, n) for n in range(2, top + 1) if is_prime_trial(2 * n * n - 1)]
+    return [
+        (q, alpha, n) for q, alpha, n in hits
+        if q_min <= q <= q_max and alpha_min <= alpha <= alpha_max
+        and residue_filter in (None, q % 4)
+    ]

@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import random
 import resource
 import subprocess
 import sys
@@ -36,6 +37,8 @@ from oddperfect.search import (
 )
 
 from _oracles import (
+    PRIME_COUNTS_1E7,
+    predicted_hits,
     primes_in,
     residue_survivors,
     scan_shard_isqrt,
@@ -741,7 +744,7 @@ class TestHelperStart:
             runs.append((run_search(cfg).to_jsonl(), path.read_bytes(), cursors[:]))
             cursors.clear()
         assert runs[0] == runs[1]
-        assert runs[0][2] == [102 + 100 * i for i in range(29)] + [3000]
+        assert runs[0][2] == [1602, 3000]
         # 30 shards from q = 3: helper j takes shards 1 + j, 1 + j + 3, ...
         assert fake_helpers.strides == [(1, 3), (2, 3)]
         assert sorted(fake_helpers.scanned) == [
@@ -972,3 +975,156 @@ class TestCheckpointing:
                       checkpoint_path=str(tmp_path / "no_dir" / "x.ckpt"))
         with pytest.raises(CheckpointError):
             run_search(cfg)
+
+
+#: The last q of a scan from q = 3 in 40 shards of NARROW numbers.
+FORTY_SHARDS = 2 + 40 * NARROW
+
+
+def shard_end(i: int) -> int:
+    """The last q of shard i (0-based) of a scan from q = 3 in shards of NARROW."""
+    return 2 + NARROW * (i + 1)
+
+
+class TestCheckpointCadence:
+    """A scan saves after every CHECKPOINT_SHARDS-th shard it merges and when it
+    stops, and a resume recounts CHECKPOINT_SHARDS shards per sieve call."""
+
+    @pytest.fixture(autouse=True)
+    def narrow(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+
+    def test_saves_every_16_merged_shards_and_at_the_end(
+        self, monkeypatch, fake_helpers, tmp_path
+    ):
+        assert oddperfect.search.CHECKPOINT_SHARDS == 16
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+        cursors = record_cursors(monkeypatch)
+        runs = []
+        for jobs in (1, 2, 3):
+            path = tmp_path / f"jobs_{jobs}.ckpt"
+            cfg = two_nsq(q_max=FORTY_SHARDS, alpha_max=9, worker_count=jobs,
+                          checkpoint_path=str(path))
+            runs.append((run_search(cfg).to_jsonl(), path.read_bytes()))
+            assert cursors == [shard_end(15), shard_end(31), FORTY_SHARDS]
+            cursors.clear()
+        assert runs == [runs[0]] * 3
+        # the helpers scanned from shard 0 on, and their shards were merged in order
+        assert fake_helpers.strides == [(1, 2), (1, 3), (2, 3)]
+
+    def test_an_interrupt_between_saves_keeps_every_merged_shard(self, monkeypatch, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_max=FORTY_SHARDS, alpha_max=9, checkpoint_path=str(path))
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, 20)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(cfg)
+        # shards 0-19 were merged; the last save every 16 shards was after shard 15
+        cursor = shard_end(19)
+        hits = list(run_search(two_nsq(q_max=cursor, alpha_max=9)).records)
+        assert hits
+        expected = replace(cfg, checkpoint_path=str(tmp_path / "expected.ckpt"))
+        checkpoint_save(expected, cursor, hits)
+        assert path.read_bytes() == (tmp_path / "expected.ckpt").read_bytes()
+        clean = run_search(replace(cfg, checkpoint_path=None)).to_jsonl()
+        assert run_search(cfg).to_jsonl() == clean
+
+    def test_a_failed_stop_save_does_not_hide_the_interrupt(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        path = tmp_path / "scan.ckpt"
+        real, refused = oddperfect.search.checkpoint_save, []
+
+        def save(cfg, q_done, records):
+            if isinstance(sys.exc_info()[1], KeyboardInterrupt):
+                refused.append(q_done)
+                raise CheckpointError(f"cannot write checkpoint {path}: injected")
+            real(cfg, q_done, records)
+
+        monkeypatch.setattr(oddperfect.search, "checkpoint_save", save)
+        argv = ["search", "--equation", "2nsq", "--q-max", str(FORTY_SHARDS),
+                "--alpha-max", "9", "--format", "jsonl"]
+        assert oddperfect.cli.run(argv) == 0
+        clean = capsys.readouterr().out
+        argv += ["--checkpoint", str(path)]
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, 20)
+            assert oddperfect.cli.run(argv) == 130
+        assert refused == [shard_end(19)]
+        assert capsys.readouterr() == (
+            "", f"interrupted; rerun to resume from checkpoint {path}\n"
+        )
+        # the save after shard 15 is left, and it resumes to the clean bytes
+        assert json.loads(path.read_text())["q_done"] == shard_end(15)
+        assert oddperfect.cli.run(argv) == 0
+        assert capsys.readouterr().out == clean
+
+    @pytest.mark.parametrize("residue_filter", [1, 3, None], ids=["mod4_1", "mod4_3", "all"])
+    @pytest.mark.parametrize("q_min", [1, 2000])
+    def test_a_resume_recounts_the_primes_before_the_cursor(
+        self, monkeypatch, tmp_path, q_min, residue_filter
+    ):
+        # shards of 100: a recount sieves 1 600 numbers a call
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_min=q_min, q_max=9000, alpha_max=9, residue_filter=residue_filter,
+                      checkpoint_path=str(path))
+        clean = run_search(replace(cfg, checkpoint_path=None))
+        eligible = [p for p in primes_in(q_min, 9000) if residue_filter in (None, p % 4)]
+        assert clean.scanned_primes == len(eligible)
+        start = max(q_min, 2)
+        # eligible primes and a composite, each off every 16-shard boundary:
+        # the first past 1 600 numbers, past 3 200, and the last one
+        cursors = [next(p for p in eligible if p > start + 1600),
+                   next(p for p in eligible if p > start + 3200), eligible[-1], 5000]
+        for cursor in cursors:
+            assert (cursor + 1 - start) % 1600
+            checkpoint_save(cfg, cursor, [r for r in clean.records if r.q <= cursor])
+            resumed = run_search(cfg)
+            assert resumed.scanned_primes == len(eligible)
+            assert resumed.to_jsonl() == clean.to_jsonl()
+            path.unlink()
+
+    def test_a_resume_sieves_16_shards_per_call(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        path = tmp_path / "scan.ckpt"
+        cfg = two_nsq(q_max=9000, alpha_max=9, checkpoint_path=str(path))
+        expected = run_search(cfg).to_jsonl()
+        real, calls = oddperfect.search._eligible, []
+
+        def eligible(lo, hi, residue_filter):
+            calls.append((lo, hi))
+            return real(lo, hi, residue_filter)
+
+        monkeypatch.setattr(oddperfect.search, "_eligible", eligible)
+        assert run_search(cfg).to_jsonl() == expected
+        # q in [3, 9000] from its finished checkpoint: five full calls and one partial
+        assert calls == [(3 + 1600 * i, min(2 + 1600 * (i + 1), 9000)) for i in range(6)]
+
+
+class TestPredictedOutputs:
+    """Searches to 10^7, each interrupted off a save boundary and resumed from its
+    checkpoint, report what predicted_hits derives and PRIME_COUNTS_1E7 primes."""
+
+    @pytest.mark.parametrize("k, alpha_max, residue_filter, seed", [
+        (2, 101, 1, 1), (2, 101, 3, 2), (2, 101, None, 3), (1, 201, None, 4),
+    ], ids=["2nsq_mod4_1", "2nsq_mod4_3", "2nsq", "nsq"])
+    def test_interrupted_and_resumed_to_the_prediction(
+        self, monkeypatch, tmp_path, k, alpha_max, residue_filter, seed
+    ):
+        assert PRIME_COUNTS_1E7[None] == PRIME_COUNTS_1E7[1] + PRIME_COUNTS_1E7[3]
+        path = tmp_path / "scan.ckpt"
+        cfg = SearchConfig(k, q_max=10**7, alpha_max=alpha_max, residue_filter=residue_filter,
+                           checkpoint_path=str(path))
+        width, every = oddperfect.search.SHARD_WIDTH, oddperfect.search.CHECKPOINT_SHARDS
+        shards = len(range(3, 10**7 + 1, width))
+        stop = random.Random(seed).choice([i for i in range(1, shards) if i % every])
+        with monkeypatch.context() as m:
+            interrupt_at_shard(m, stop)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(cfg)
+        assert json.loads(path.read_text())["q_done"] == 2 + stop * width
+        report = run_search(cfg)
+        hits = [(r.q, r.alpha, r.n) for r in report.records]
+        assert hits == predicted_hits(k, 3, 10**7, 1, alpha_max, residue_filter)
+        assert report.scanned_primes == PRIME_COUNTS_1E7[residue_filter]
