@@ -52,6 +52,7 @@ T_SEARCH = "tests/test_search.py::"
 T_CLI = "tests/test_cli.py::"
 T_QUADRATIC = "tests/test_quadratic.py::"
 T_CLASSIFY = "tests/test_classify.py::"
+T_ACCEPTANCE = "tests/test_acceptance.py::"
 
 #: The change that split the search kernel from its sieve and resumes through it.
 HIT_TEST = "one hit test for the scan and the resume"
@@ -65,11 +66,14 @@ ONE_DECISION = "One decision starts the search helpers"
 #: The change that checkpoints once per CHECKPOINT_SHARDS merged shards and when
 #: the scan stops, and recounts a resume CHECKPOINT_SHARDS shards per sieve call.
 CADENCE = "Checkpoint once per 16 merged shards"
+#: The change that times the parent's shards on one clock and stops every helper in one finally.
+ONE_CLOCK = "One clock and one teardown for the search helpers"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
 _CADENCE = T_SEARCH + "TestCheckpointCadence::"
 _PRIMES_BETWEEN = T_ARITH + "TestPrimesBetween::"
+_REDUCTION = T_SEARCH + "TestPredictedByTheReduction::"
 _HUGE_N = T_CLI + "TestViolationDetector::test_huge_n_is_printed_and_judged_whole"
 #: The fields SearchConfig requires to be of type int, in the order search.py lists them.
 _INT_FIELDS = ("q_min", "q_max", "alpha_min", "alpha_max", "worker_count", "residue_filter")
@@ -129,7 +133,8 @@ CASES: tuple[Mutant, ...] = (
     Mutant("exact-test-divides-by-two", SEARCH,
            "divmod(sigma_prime_power(q, alpha), k)", "divmod(sigma_prime_power(q, alpha), 2)",
            (T_SEARCH + "TestNSquared::test_small_range_hits",
-            T_SEARCH + "TestOracleEquivalence::test_matches_naive_double_loop[nsq]"),
+            T_SEARCH + "TestOracleEquivalence::test_matches_naive_double_loop[nsq]",
+            _REDUCTION + "test_kernel_over_every_integer[nsq-1e6]"),
            "03dbaad"),
     Mutant("nsq-alpha-one-not-forbidden", CLI,
            "r.alpha > 1 or r.k == 1", "r.alpha > 1",
@@ -180,12 +185,6 @@ CASES: tuple[Mutant, ...] = (
            "    if isinstance(result, BaseException):\n        raise result\n", "",
            (T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two",
             T_SEARCH + "TestHelperFailures::test_keyboard_interrupt_stops_the_scan"),
-           "a6a0667"),
-    Mutant("helpers-not-killed", SEARCH,
-           "            process.kill()", "            pass",
-           (T_SEARCH + "TestPoolLifetime::test_interrupt_does_not_wait_for_running_shards",
-            T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers",
-            T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two"),
            "a6a0667"),
     # helpers that start before shard 0 then fork before the parent's first
     # shard builds the tables, and a first search times the build as shard time
@@ -279,7 +278,8 @@ CASES: tuple[Mutant, ...] = (
            "# and raise what stopped the scan\n                checkpoint_save(cfg, done, records)\n",
            "# and raise what stopped the scan\n                pass\n",
            (_CADENCE + "test_an_interrupt_between_saves_keeps_every_merged_shard",
-            T_SEARCH + "TestCheckpointing::test_fresh_interrupt_resume_cycle"),
+            T_SEARCH + "TestCheckpointing::test_fresh_interrupt_resume_cycle",
+            T_ACCEPTANCE + "test_criterion_10_determinism"),
            CADENCE),
     Mutant("save-cadence-one-shard-late", SEARCH,
            "or not i % CHECKPOINT_SHARDS):", "or i % CHECKPOINT_SHARDS == 1):",
@@ -291,12 +291,28 @@ CASES: tuple[Mutant, ...] = (
            "_intervals(cfg.q_min, done - 1, CHECKPOINT_SHARDS)",
            (_CADENCE + "test_a_resume_recounts_the_primes_before_the_cursor",),
            CADENCE),
+    # one clock and one teardown for the search helpers
+    Mutant("teardown-kills-no-helper", SEARCH,
+           "            process.kill()\n", "",
+           (T_SEARCH + "TestPoolLifetime::test_interrupt_does_not_wait_for_running_shards",
+            T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers",
+            T_SEARCH + "TestHelperFailures::test_keyboard_interrupt_stops_the_scan",
+            T_SEARCH + "TestHelperFailures::test_consistency_error_exits_two"),
+           ONE_CLOCK),
+    # a clock read before shard 0 counts the time since the read as a shard
+    Mutant("clock-read-at-shard-0", SEARCH,
+           "time.perf_counter() - start if i else 0.0", "time.perf_counter() - start",
+           (_HELPER_START + "test_no_helper_for_a_shard_that_does_not_exist[3_shards]",
+            _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
+           ONE_CLOCK),
     # search kernel v3, reported in prose and written as cases here
     Mutant("alpha-window-ignored", SEARCH,
            "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",
            "    bits = (1 << 64 * words) - 1\n",
            (T_SEARCH + "TestAlphaTables::test_alpha_window",
-            T_SEARCH + "TestKernelAgainstOracle::test_edge_ranges"),
+            T_SEARCH + "TestKernelAgainstOracle::test_edge_ranges",
+            _REDUCTION + "test_kernel_over_every_integer[nsq-to_2e4]",
+            _REDUCTION + "test_deep_window_to_the_prediction[1e9-nsq-all]"),
            "da9813d"),
     Mutant("last-modulus-skipped", SEARCH,
            "    for rows in primes % _SIEVE_M + _SIEVE_ROWS:",
@@ -313,7 +329,9 @@ CASES: tuple[Mutant, ...] = (
            "        power = power * r % m\n        sigma = (sigma + power) % m\n",
            "        power = power * r % m\n        sigma = (sigma + power) % m\n"
            "        bits[alpha] = square[offset + sigma]\n",
-           (T_SEARCH + "TestAlphaTables::test_every_bit_against_exact_sigma",),
+           (T_SEARCH + "TestAlphaTables::test_every_bit_against_exact_sigma",
+            _REDUCTION + "test_kernel_over_every_integer[2nsq-to_2e4]",
+            _REDUCTION + "test_deep_window_to_the_prediction[1e10-2nsq-mod4_3]"),
            "da9813d"),
     Mutant("alpha-bound-times-ten", SEARCH,
            "ALPHA_MAX_BOUND = 10_000", "ALPHA_MAX_BOUND = 100_000",
@@ -398,4 +416,7 @@ RETIRED: tuple[Retired, ...] = (
     Retired("tables-built-after-the-pool-starts", "da9813d", "a6a0667",
             "the pool is gone; the same mutant on the helpers is the case "
             "tables-built-after-the-fork"),
+    Retired("helpers-not-killed", "a6a0667", ONE_CLOCK,
+            "the except block that killed the helpers is gone; the one kill left is in "
+            "the finally, and dropping it is the case teardown-kills-no-helper"),
 )

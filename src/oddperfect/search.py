@@ -313,20 +313,22 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _shard_results(cfg: SearchConfig, lo: int):
     """(last q, primes scanned, records) of each shard of [lo, q_max], in order.
 
-    The parent scans alone until the switch: the first shard i at which its mean
-    shard time so far times the shards left reaches w helper starts, for
-    w = min(worker_count, shards left, usable CPUs).  There helper j < w starts
-    on shards i + j, i + j + w, ..., the parent keeps i, i + w, ..., and it reads
-    each helper's results from its pipe in shard order.
+    The parent scans alone until the switch: the first shard i at which the time
+    since shard 0 began, over the i shards done, times the shards left reaches w
+    helper starts, for w = min(worker_count, shards left, usable CPUs).  There helper
+    j < w starts on shards i + j, i + j + w, ..., the parent keeps i, i + w, ..., and
+    it reads each helper's results from its pipe in shard order.  However the scan
+    ends, every helper is then killed and joined: nothing it could still send is read.
     """
     # the tables, built before shard 0, are no shard time, and forked helpers inherit them
     _alpha_masks(cfg)
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
-    helpers, switch, spent = [], None, 0.0
+    helpers, switch, start = [], None, time.perf_counter()
     try:
         for i, (a, b) in enumerate(_intervals(lo, cfg.q_max)):
             if switch is None:
                 w = min(cfg.worker_count, shards - i, _usable_cpus())
+                spent = time.perf_counter() - start if i else 0.0
                 if spent / max(i, 1) * (shards - i) >= w * HELPER_START_S:
                     switch = i
                     for j in range(1, w):
@@ -335,18 +337,10 @@ def _shard_results(cfg: SearchConfig, lo: int):
             if turn:
                 yield b, *_receive(helpers[turn - 1][1], a, b)
             else:
-                start = time.perf_counter()
-                count, hits = _scan_shard((cfg, a, b))
-                spent += time.perf_counter() - start
-                yield b, count, hits
-    except BaseException:
-        # Ctrl-C, a failed shard or an abandoned scan: stop every helper at once
-        for process, _ in helpers:
-            process.kill()
-        raise
+                yield b, *_scan_shard((cfg, a, b))
     finally:
-        # a helper that sent its last shard exits on its own
         for process, pipe in helpers:
+            process.kill()
             process.join()
             pipe.close()
 

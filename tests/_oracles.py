@@ -357,8 +357,9 @@ def predicted_hits(
     if k == 1:
         hits = list(LJUNGGREN_HITS)
     else:
-        top = math.isqrt((q_max + 1) // 2)
-        hits = [(2 * n * n - 1, 1, n) for n in range(2, top + 1) if is_prime_trial(2 * n * n - 1)]
+        # n from the largest with 2n^2 - 1 <= q_min, not from 2: deep windows stay cheap
+        ns = range(max(2, math.isqrt((q_min + 1) // 2)), math.isqrt((q_max + 1) // 2) + 1)
+        hits = [(2 * n * n - 1, 1, n) for n in ns if is_prime_trial(2 * n * n - 1)]
     return [
         (q, alpha, n) for q, alpha, n in hits
         if q_min <= q <= q_max and alpha_min <= alpha <= alpha_max

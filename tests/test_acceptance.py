@@ -6,6 +6,7 @@ exact equality everywhere, plus wall-clock ceilings where one is given.
 """
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -216,10 +217,14 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
     except KeyboardInterrupt:
         interrupted = True
     monkeypatch.undo()
+    # the interrupt saved the two merged shards, so the resume starts at the third
+    path = tmp_path / "resume.ckpt"
+    saved = path.exists() and json.loads(path.read_text())["q_done"]
     resumed = run_search(cfg).to_jsonl()
     _report(
         10,
         "jsonl byte-identical across worker counts {1, 2, 8} and across "
-        "an interrupt/resume cycle",
-        workers_ok and interrupted and resumed == baselines[2],
+        "an interrupt/resume cycle from the checkpoint the interrupt left",
+        workers_ok and interrupted and saved == 3 + 2 * oddperfect.search.SHARD_WIDTH - 1
+        and resumed == baselines[2],
     )

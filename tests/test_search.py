@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -16,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,12 +40,14 @@ from oddperfect.search import (
 
 from _oracles import (
     PRIME_COUNTS_1E7,
+    is_prime_trial,
     predicted_hits,
     primes_in,
     residue_survivors,
     scan_shard_isqrt,
     search_solutions,
     sigma_prime_power_sum,
+    v2_int,
 )
 
 #: k = 2 and k = 1, by the name of their equation.
@@ -1128,3 +1132,78 @@ class TestPredictedOutputs:
         hits = [(r.q, r.alpha, r.n) for r in report.records]
         assert hits == predicted_hits(k, 3, 10**7, 1, alpha_max, residue_filter)
         assert report.scanned_primes == PRIME_COUNTS_1E7[residue_filter]
+
+
+
+@functools.cache
+def deep_window(exponent: int) -> tuple[int, int]:
+    """A seeded window of 1 to 2 shards near 10**exponent that holds the 2nsq hit
+    at the first prime 2n^2 - 1 from a seeded n, with n odd (q = 1 mod 4) at odd
+    exponents and even (q = 3 mod 4) at even ones."""
+    rng = random.Random(exponent)
+    n = math.isqrt(10**exponent // 2) + rng.randrange(1000)
+    n += (n - exponent) % 2
+    while not is_prime_trial(2 * n * n - 1):
+        n += 2
+    width = rng.randint(1, 2 * oddperfect.search.SHARD_WIDTH)
+    lo = 2 * n * n - 1 - rng.randrange(width)
+    return lo, lo + width - 1
+
+
+#: primes_in, once per deep window.
+deep_primes = functools.cache(primes_in)
+
+
+class TestPredictedByTheReduction:
+    """Ljunggren's theorem and the reduction sigma(q^(2h-1)) = sigma(q^(h-1)) * (q^h + 1)
+    hold for every integer q >= 2: the kernel's output is known exactly on any
+    window of integers, and a search's output and coverage on any window."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (2, 20_000), *((10**e, 10**e + (1 << 14) - 1) for e in (6, 9, 11)),
+    ], ids=["to_2e4", "1e6", "1e9", "1e11"])
+    @pytest.mark.parametrize("k, alpha_max", [(1, 1001), (2, 2001)], ids=["nsq", "2nsq"])
+    def test_kernel_over_every_integer(self, k, alpha_max, lo, hi):
+        # every q = k*n^2 - 1 hits at alpha = 1; at alpha >= 2 only Ljunggren's
+        # (3, 4) and (7, 3) for nsq, and nothing for 2nsq.  Over the integers one
+        # family needs more than Ljunggren: 2nsq at alpha = 3 with q + 1 = n^2 and
+        # q^2 + 1 = 2j^2, which test_alpha_3_family_of_2nsq rules out far past 10^11.
+        cfg = SearchConfig(k, alpha_max=alpha_max)
+        hits = [(r.q, r.alpha, r.n) for r in oddperfect.search._hits(cfg, np.arange(lo, hi + 1))]
+        family = [(k * n * n - 1, 1, n) for n in range(2, math.isqrt((hi + 1) // k) + 1)]
+        ljunggren = [(3, 4, 11), (7, 3, 20)] if k == 1 else []
+        assert hits == sorted(hit for hit in family + ljunggren if lo <= hit[0] <= hi)
+
+    @settings(deadline=None)
+    @given(q=st.integers(min_value=1, max_value=10**12).map(lambda m: 2 * m + 1),
+           h=st.integers(min_value=1, max_value=31))
+    def test_the_reduction_at_odd_q(self, q, h):
+        # alpha = 2h - 1 <= 61: sigma(q^alpha) = A * B with gcd(A, B) | 2
+        a, b = sigma_prime_power_sum(q, h - 1), q**h + 1
+        assert a * b == sigma_prime_power_sum(q, 2 * h - 1)
+        assert math.gcd(a, b) == (1 if h % 2 else 2)
+        if h % 2 == 0:
+            assert v2_int(b) == 1
+
+    def test_alpha_3_family_of_2nsq(self):
+        # sigma(q^3) = 2n^2 at odd q needs q + 1 = n1^2 and q^2 + 1 = 2j^2; the
+        # solutions (x, j) of x^2 - 2j^2 = -1 are (1, 1), (7, 5), (41, 29), ...,
+        # and in the first 400 of them, past 10^300, x + 1 is never a square
+        x, j = 1, 1
+        for _ in range(400):
+            assert x * x - 2 * j * j == -1
+            assert math.isqrt(x + 1) ** 2 != x + 1
+            x, j = 3 * x + 4 * j, 2 * x + 3 * j
+        assert x > 10**300
+
+    @pytest.mark.parametrize("residue_filter", [None, 1, 3], ids=["all", "mod4_1", "mod4_3"])
+    @pytest.mark.parametrize("k, alpha_max", [(1, 1001), (2, 2001)], ids=["nsq", "2nsq"])
+    @pytest.mark.parametrize("exponent", [9, 10, 11], ids=["1e9", "1e10", "1e11"])
+    def test_deep_window_to_the_prediction(self, exponent, k, alpha_max, residue_filter):
+        lo, hi = deep_window(exponent)
+        report = run_search(SearchConfig(k, q_min=lo, q_max=hi, alpha_max=alpha_max,
+                                         residue_filter=residue_filter))
+        hits = [(r.q, r.alpha, r.n) for r in report.records]
+        assert hits == predicted_hits(k, lo, hi, 1, alpha_max, residue_filter)
+        primes = [q for q in deep_primes(lo, hi) if residue_filter in (None, q % 4)]
+        assert report.scanned_primes == len(primes)
