@@ -68,10 +68,13 @@ ONE_DECISION = "One decision starts the search helpers"
 CADENCE = "Checkpoint once per 16 merged shards"
 #: The change that times the parent's shards on one clock and stops every helper in one finally.
 ONE_CLOCK = "One clock and one teardown for the search helpers"
+#: The change that scans in blocks of CHECKPOINT_SHARDS shards and compacts the kernel's masks.
+BLOCKS = "Scan in blocks of 16 shards"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
 _CADENCE = T_SEARCH + "TestCheckpointCadence::"
+_BLOCKS = T_SEARCH + "TestBlocks::"
 _PRIMES_BETWEEN = T_ARITH + "TestPrimesBetween::"
 _REDUCTION = T_SEARCH + "TestPredictedByTheReduction::"
 _HUGE_N = T_CLI + "TestViolationDetector::test_huge_n_is_printed_and_judged_whole"
@@ -247,7 +250,7 @@ CASES: tuple[Mutant, ...] = (
             T_CLI + "TestIdentityMMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[1_001]"),
            LATE_HELPERS),
     Mutant("helpers-start-only-past-break-even", SEARCH,
-           "(shards - i) >= w * HELPER_START_S", "(shards - i) > w * HELPER_START_S",
+           "(shards - done) >= w * HELPER_START_S", "(shards - done) > w * HELPER_START_S",
            (_HELPER_START + "test_helpers_start_at_the_break_even_point[break_even]",
             T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers"),
            LATE_HELPERS),
@@ -263,8 +266,8 @@ CASES: tuple[Mutant, ...] = (
            LATE_HELPERS),
     # one decision starts the search helpers
     Mutant("helper-cap-from-all-shards", SEARCH,
-           "min(cfg.worker_count, shards - i, _usable_cpus())",
-           "min(cfg.worker_count, shards, _usable_cpus())",
+           "min(cfg.worker_count, blocks - i, _usable_cpus())",
+           "min(cfg.worker_count, blocks, _usable_cpus())",
            (_HELPER_START + "test_no_helper_for_a_shard_that_does_not_exist[2_shards]",),
            ONE_DECISION),
     *(Mutant(f"{name}-type-unchecked", SEARCH, _listed(_INT_FIELDS),
@@ -287,8 +290,8 @@ CASES: tuple[Mutant, ...] = (
             _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
            CADENCE),
     Mutant("recount-one-short-of-the-cursor", SEARCH,
-           "_intervals(cfg.q_min, done, CHECKPOINT_SHARDS)",
-           "_intervals(cfg.q_min, done - 1, CHECKPOINT_SHARDS)",
+           "_blocks(cfg.q_min, done)",
+           "_blocks(cfg.q_min, done - 1)",
            (_CADENCE + "test_a_resume_recounts_the_primes_before_the_cursor",),
            CADENCE),
     # one clock and one teardown for the search helpers
@@ -305,6 +308,39 @@ CASES: tuple[Mutant, ...] = (
            (_HELPER_START + "test_no_helper_for_a_shard_that_does_not_exist[3_shards]",
             _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
            ONE_CLOCK),
+    # scan in blocks of 16 shards, one sieve call and one compacting kernel call each
+    Mutant("shard-split-one-prime-early", SEARCH,
+           'np.searchsorted(primes, [a - 1, *ends], side="right")',
+           'np.searchsorted(primes, [a - 1, *ends], side="left")',
+           (_BLOCKS + "test_deep_shards_either_side_of_a_block_edge",
+            _BLOCKS + "test_narrow_shards_to_the_naive_search"),
+           BLOCKS),
+    Mutant("record-split-one-hit-early", SEARCH,
+           'np.searchsorted([r.q for r in records], [a - 1, *ends], side="right")',
+           'np.searchsorted([r.q for r in records], [a - 1, *ends], side="left")',
+           (_BLOCKS + "test_deep_shards_either_side_of_a_block_edge[hit_ends_block_0-2nsq]",
+            _BLOCKS + "test_narrow_shards_to_the_naive_search"),
+           BLOCKS),
+    Mutant("compaction-keeps-rows-with-every-word-set", SEARCH,
+           "keep = mask.any(axis=1)", "keep = mask.all(axis=1)",
+           (_REDUCTION + "test_kernel_over_every_integer[nsq-to_2e4]",
+            T_SEARCH + "TestKernelAgainstOracle::test_large_q_and_alpha"),
+           BLOCKS),
+    Mutant("block-one-shard-short", SEARCH,
+           "    width = CHECKPOINT_SHARDS * SHARD_WIDTH\n",
+           "    width = (CHECKPOINT_SHARDS - 1) * SHARD_WIDTH\n",
+           (_BLOCKS + "test_one_sieve_call_and_one_kernel_call_per_block",),
+           BLOCKS),
+    Mutant("helper-blocks-from-the-scan-start", SEARCH,
+           "itertools.islice(_blocks(lo, cfg.q_max), first, None, step)",
+           "itertools.islice(_blocks(cfg.q_min, cfg.q_max), first, None, step)",
+           (_BLOCKS + "test_an_interrupt_at_each_shard_edge_of_a_block_resumes_to_the_clean_bytes",
+            _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
+           BLOCKS),
+    Mutant("helper-start-divides-by-blocks-done", SEARCH,
+           "spent / max(done, 1) * (shards - done)", "spent / max(i, 1) * (shards - done)",
+           (_HELPER_START + "test_one_slow_first_shard_starts_no_helper",),
+           BLOCKS),
     # search kernel v3, reported in prose and written as cases here
     Mutant("alpha-window-ignored", SEARCH,
            "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",
@@ -315,8 +351,8 @@ CASES: tuple[Mutant, ...] = (
             _REDUCTION + "test_deep_window_to_the_prediction[1e9-nsq-all]"),
            "da9813d"),
     Mutant("last-modulus-skipped", SEARCH,
-           "    for rows in primes % _SIEVE_M + _SIEVE_ROWS:",
-           "    for rows in (primes % _SIEVE_M + _SIEVE_ROWS)[:-1]:",
+           "enumerate(zip(_SIEVE_MODULI, _SIEVE_ROWS), 1)",
+           "enumerate(zip(_SIEVE_MODULI[:-1], _SIEVE_ROWS), 1)",
            (T_SEARCH + "TestKernelAgainstOracle::test_large_q_and_alpha",),
            "da9813d"),
     Mutant("first-modulus-64", SEARCH,

@@ -3,16 +3,17 @@
 The scan walks primes q in a range and exponents alpha in a range, testing
 whether sigma(q^alpha) = k*n^2 for the configured k: twice a square (k = 2,
 "2nsq") or a square (k = 1, "nsq").  Work is sharded into contiguous
-q-intervals of SHARD_WIDTH numbers, each of which sieves its own primes, so
-the merged output is byte-identical for any worker count, which is what
+q-intervals of SHARD_WIDTH numbers, scanned in blocks of CHECKPOINT_SHARDS
+shards with one sieve call and one kernel call each, and merged in shard
+order, so the output is byte-identical for any worker count, which is what
 makes golden-file and resume testing possible.  With N workers the calling
 process scans alone until the shards left pay for its helper processes, at most
-N - 1 and fewer than the shards left; then it scans its share and merges theirs.
+N - 1 and fewer than the blocks left; then it scans its share and merges theirs.
 
 sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
 and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
 mod m (H. Cohen, A Course in Computational Algebraic Number Theory,
-Alg. 1.7.3, along the alpha axis).  A shard ANDs each prime's masks and the
+Alg. 1.7.3, along the alpha axis).  A block ANDs each prime's masks and the
 alpha range; only the alphas whose bit survives get the exact sigma and
 square test.  For k = 2 the mod-128 masks already clear every even alpha:
 it makes sigma odd, and 2x^2 mod 128 is even.
@@ -36,27 +37,26 @@ import numpy as np
 from .arith import is_prime, isqrt_exact, primes_between, sigma_prime_power
 from .errors import CheckpointError, ConsistencyError
 
-#: Numbers q per shard.  Small enough that interrupt/resume granularity is
-#: useful; a shard's result crosses a helper's pipe in about 11 us, against
-#: 0.4-16 ms to scan a shard near q = 1e9 (2-CPU Xeon, CPython 3.11.7).
+#: Numbers q per shard, the unit that a scan merges and a checkpoint's cursor counts in.
 SHARD_WIDTH = 1 << 14
-#: Shards per checkpoint save as a scan merges them, and per sieve call as a resume recounts them:
-#: 2^18 numbers, one primes_between segment; an atomic write takes 0.1-0.2 ms (ext4, 2-CPU Xeon).
+#: Shards per block, which a worker scans with one sieve call and one kernel call, per
+#: checkpoint save and per resume-recount sieve call: 2^18 numbers, one primes_between
+#: segment.  A block's results cross a helper's pipe in about 14 us, against 3.5-4.7 ms to
+#: scan it near q = 1e9; an atomic write takes 0.1-0.2 ms (ext4, 2-CPU Xeon, CPython 3.11.7).
 CHECKPOINT_SHARDS = 16
 
-#: Seconds that one helper process adds to a scan: about 5 ms, of which 0.9-1.5 ms
-#: in start(), 2.2-2.8 ms until the child runs its target, 1.0-1.4 ms more for its
-#: first shard than for its next, and 0.9-1.2 ms in join() (medians of 20 starts,
-#: 2-vCPU VM, CPython 3.11.7).
+#: Seconds that one helper process adds to a scan, which the parent weighs before each block:
+#: about 5 ms, of which 0.9-1.5 ms in start(), 2.2-2.8 ms until the child runs its target,
+#: 1.0-1.4 ms more for its first scan than for its next, and 0.9-1.2 ms in join() (medians
+#: of 20 starts when helpers scanned single shards, 2-vCPU VM, CPython 3.11.7).
 HELPER_START_S = 5e-3
 
 #: The residue sieve's moduli: sigma(q^alpha) mod m depends on q mod m and alpha only.
 _SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
-_SIEVE_M = np.array(_SIEVE_MODULI)[:, None]
 #: Residue r mod _SIEVE_MODULI[j] is row _SIEVE_ROWS[j] + r of a table.
-_SIEVE_ROWS = np.cumsum(_SIEVE_M, axis=0) - _SIEVE_M
+_SIEVE_ROWS = np.cumsum(_SIEVE_MODULI) - _SIEVE_MODULI
 
-#: The largest alpha_max a search accepts: the tables and each shard's mask
+#: The largest alpha_max a search accepts: the tables and each prime's mask
 #: hold alpha_max // 64 + 1 words per row.  The paper's runs use alpha <= 1001.
 ALPHA_MAX_BOUND = 10_000
 #: The largest q_max a search accepts: the sieve holds every base prime below
@@ -248,11 +248,17 @@ def _alpha_masks(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     return _alpha_tables(cfg.k, words), np.frombuffer(bits.to_bytes(8 * words, "little"), "<u8")
 
 
-def _scan_shard(args: tuple[SearchConfig, int, int]) -> tuple[int, list[SolutionRecord]]:
-    """(primes scanned, records in (q, alpha) order) of [lo, hi] for args = (cfg, lo, hi)."""
-    cfg, lo, hi = args
-    primes = _eligible(lo, hi, cfg.residue_filter)
-    return len(primes), _hits(cfg, primes)
+def _scan_block(cfg: SearchConfig, a: int, b: int) -> list[tuple]:
+    """(last q, primes scanned, records in (q, alpha) order) of each shard of the
+    block [a, b], from one sieve call and one kernel call split at the shards' ends."""
+    primes = _eligible(a, b, cfg.residue_filter)
+    records = _hits(cfg, primes)
+    ends = [min(x + SHARD_WIDTH, b + 1) - 1 for x in range(a, b + 1, SHARD_WIDTH)]
+    # how many primes and records lie at or below a - 1 and each shard's end
+    counts = np.searchsorted(primes, [a - 1, *ends], side="right").tolist()
+    cuts = np.searchsorted([r.q for r in records], [a - 1, *ends], side="right").tolist()
+    return [(end, counts[s + 1] - counts[s], records[cuts[s] : cuts[s + 1]])
+            for s, end in enumerate(ends)]
 
 
 def _hits(cfg: SearchConfig, primes: np.ndarray) -> list[SolutionRecord]:
@@ -261,20 +267,22 @@ def _hits(cfg: SearchConfig, primes: np.ndarray) -> list[SolutionRecord]:
     alpha window, and each alpha whose bit survives gets the exact test."""
     table, window = _alpha_masks(cfg)
     mask = np.tile(window, (len(primes), 1))
-    # row j holds each prime's row in the tables of modulus j
-    for rows in primes % _SIEVE_M + _SIEVE_ROWS:
-        mask &= table.take(rows, axis=0)
-    live = mask.any(axis=1).nonzero()[0]
+    for j, (m, row) in enumerate(zip(_SIEVE_MODULI, _SIEVE_ROWS), 1):
+        mask &= table.take(primes % m + row, axis=0)
+        # after every 5th modulus, keep only the primes that an alpha still survives at
+        if j % 5 == 0:
+            keep = mask.any(axis=1)
+            primes, mask = primes[keep], mask[keep]
     # bit alpha of a row's words is bit alpha % 8 of its byte alpha // 8
-    which, alphas = np.unpackbits(mask[live].view(np.uint8), axis=1, bitorder="little").nonzero()
-    pairs = zip(primes[live[which]].tolist(), alphas.tolist())
+    which, alphas = np.unpackbits(mask.view(np.uint8), axis=1, bitorder="little").nonzero()
+    pairs = zip(primes[which].tolist(), alphas.tolist())
     records = [_solution(cfg.k, q, alpha) for q, alpha in pairs]
     return [record for record in records if record is not None]
 
 
-def _intervals(lo: int, hi: int, shards: int = 1):
-    """[lo, hi] from q = 2 on, as consecutive intervals of shards * SHARD_WIDTH numbers."""
-    width = shards * SHARD_WIDTH
+def _blocks(lo: int, hi: int):
+    """[lo, hi] from q = 2 on, as consecutive blocks of CHECKPOINT_SHARDS * SHARD_WIDTH numbers."""
+    width = CHECKPOINT_SHARDS * SHARD_WIDTH
     for a in range(max(lo, 2), hi + 1, width):
         yield a, min(a + width - 1, hi)
 
@@ -291,7 +299,7 @@ def run_search(cfg: SearchConfig) -> SearchReport:
     if cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path):
         done, records = checkpoint_resume(cfg)
         # re-derived, not read from disk: the primes up to the cursor
-        recount = _intervals(cfg.q_min, done, CHECKPOINT_SHARDS)
+        recount = _blocks(cfg.q_min, done)
         scanned = sum(len(_eligible(lo, hi, cfg.residue_filter)) for lo, hi in recount)
     try:
         for i, (done, count, hits) in enumerate(_shard_results(cfg, done + 1), 1):
@@ -313,31 +321,34 @@ def run_search(cfg: SearchConfig) -> SearchReport:
 def _shard_results(cfg: SearchConfig, lo: int):
     """(last q, primes scanned, records) of each shard of [lo, q_max], in order.
 
-    The parent scans alone until the switch: the first shard i at which the time
-    since shard 0 began, over the i shards done, times the shards left reaches w
-    helper starts, for w = min(worker_count, shards left, usable CPUs).  There helper
-    j < w starts on shards i + j, i + j + w, ..., the parent keeps i, i + w, ..., and
-    it reads each helper's results from its pipe in shard order.  However the scan
-    ends, every helper is then killed and joined: nothing it could still send is read.
+    The range is scanned in blocks of CHECKPOINT_SHARDS shards from lo on.  The
+    parent scans alone until the switch: the first block i at which the time since
+    block 0 began, over the shards done, times the shards left reaches w helper
+    starts, for w = min(worker_count, blocks left, usable CPUs).  There helper j < w
+    starts on blocks i + j, i + j + w, ..., the parent keeps i, i + w, ..., and it
+    reads each helper's blocks from its pipe in order.  However the scan ends, every
+    helper is then killed and joined: nothing it could still send is read.
     """
-    # the tables, built before shard 0, are no shard time, and forked helpers inherit them
+    # the tables, built before block 0, are no scan time, and forked helpers inherit them
     _alpha_masks(cfg)
     shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
+    blocks = -(-shards // CHECKPOINT_SHARDS)
     helpers, switch, start = [], None, time.perf_counter()
     try:
-        for i, (a, b) in enumerate(_intervals(lo, cfg.q_max)):
+        for i, (a, b) in enumerate(_blocks(lo, cfg.q_max)):
             if switch is None:
-                w = min(cfg.worker_count, shards - i, _usable_cpus())
+                w = min(cfg.worker_count, blocks - i, _usable_cpus())
+                done = i * CHECKPOINT_SHARDS
                 spent = time.perf_counter() - start if i else 0.0
-                if spent / max(i, 1) * (shards - i) >= w * HELPER_START_S:
+                if spent / max(done, 1) * (shards - done) >= w * HELPER_START_S:
                     switch = i
                     for j in range(1, w):
                         helpers.append(_start_helper(cfg, a, j, w))
             turn = 0 if switch is None else (i - switch) % (len(helpers) + 1)
             if turn:
-                yield b, *_receive(helpers[turn - 1][1], a, b)
+                yield from _receive(helpers[turn - 1][1], a, b)
             else:
-                yield b, *_scan_shard((cfg, a, b))
+                yield from _scan_block(cfg, a, b)
     finally:
         for process, pipe in helpers:
             process.kill()
@@ -364,23 +375,23 @@ def _start_helper(cfg: SearchConfig, lo: int, first: int, step: int):
 
 
 def _helper(send, cfg: SearchConfig, lo: int, first: int, step: int) -> None:
-    """In a helper process: send the result of shards first, first + step, ...
+    """In a helper process: send the results of blocks first, first + step, ...
     of [lo, q_max] in turn, or what stopped the scan, for the parent to raise."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # only the parent handles Ctrl-C
     try:
-        for a, b in itertools.islice(_intervals(lo, cfg.q_max), first, None, step):
-            send.send(_scan_shard((cfg, a, b)))
+        for a, b in itertools.islice(_blocks(lo, cfg.q_max), first, None, step):
+            send.send(_scan_block(cfg, a, b))
     except BaseException as exc:
         with contextlib.suppress(OSError):  # the parent is gone: no one to tell
             send.send(exc)
 
 
-def _receive(pipe, a: int, b: int) -> tuple[int, list[SolutionRecord]]:
-    """A helper's result for shard [a, b]; what the helper raised is raised here."""
+def _receive(pipe, a: int, b: int) -> list[tuple]:
+    """A helper's results for block [a, b]; what the helper raised is raised here."""
     try:
         result = pipe.recv()
     except EOFError:
-        raise ChildProcessError(f"a search helper died before it sent shard [{a}, {b}]") from None
+        raise ChildProcessError(f"a search helper died before it sent block [{a}, {b}]") from None
     if isinstance(result, BaseException):
         raise result
     return result

@@ -6,6 +6,8 @@ exact equality everywhere, plus wall-clock ceilings where one is given.
 """
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
 import random
@@ -198,19 +200,18 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         baselines.append(outputs.pop())
 
     # one interrupt/resume cycle must reproduce the uninterrupted bytes:
-    # the third shard raises KeyboardInterrupt, after two were checkpointed
+    # taking the third shard raises KeyboardInterrupt, after two were merged
     cfg = SearchConfig(1, q_min=3, q_max=50_000,
                        alpha_min=1, alpha_max=25,
                        checkpoint_path=str(tmp_path / "resume.ckpt"))
-    scan, calls = oddperfect.search._scan_shard, []
+    results = oddperfect.search._shard_results
 
-    def interrupting_scan(args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise KeyboardInterrupt
-        return scan(args)
+    def interrupting_results(cfg, lo):
+        with contextlib.closing(results(cfg, lo)) as scan:
+            yield from itertools.islice(scan, 2)
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(oddperfect.search, "_scan_shard", interrupting_scan)
+    monkeypatch.setattr(oddperfect.search, "_shard_results", interrupting_results)
     try:
         run_search(cfg)
         interrupted = False

@@ -1,6 +1,8 @@
 """Tests for the Diophantine search engine and its checkpointing."""
 from __future__ import annotations
 
+import bisect
+import contextlib
 import functools
 import itertools
 import json
@@ -67,16 +69,22 @@ def nsq(**kw):
 
 
 def interrupt_at_shard(monkeypatch, k):
-    """Make the k-th shard scanned (0-based) raise KeyboardInterrupt."""
-    real, calls = oddperfect.search._scan_shard, []
+    """Make run_search raise KeyboardInterrupt as it takes its k-th merged shard (0-based)."""
+    real = oddperfect.search._shard_results
 
-    def scan(args):
-        calls.append(args)
-        if len(calls) == k + 1:
-            raise KeyboardInterrupt
-        return real(args)
+    def results(cfg, lo):
+        with contextlib.closing(real(cfg, lo)) as scan:
+            for i, result in enumerate(scan):
+                if i == k:
+                    raise KeyboardInterrupt
+                yield result
 
-    monkeypatch.setattr(oddperfect.search, "_scan_shard", scan)
+    monkeypatch.setattr(oddperfect.search, "_shard_results", results)
+
+
+def shards_per_block(monkeypatch, shards):
+    """Scan in blocks of that many shards, which also sets the checkpoint cadence."""
+    monkeypatch.setattr(oddperfect.search, "CHECKPOINT_SHARDS", shards)
 
 
 class TestConfig:
@@ -221,7 +229,8 @@ SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
 
 
 class TestKernelAgainstOracle:
-    # at a helper cost of 0 the helpers start before shard 0, so real helpers meet the oracle
+    # at a helper cost of 0 the helpers start before block 0, so real helpers meet the
+    # oracle, on blocks of 16 shards of NARROW numbers
     @pytest.mark.parametrize("jobs, cost", [(1, None), (2, None), (8, None), (2, 0), (8, 0)],
                              ids=["1", "2", "8", "2_cost_0", "8_cost_0"])
     @pytest.mark.parametrize("cfg", CRITERIA, ids=["c01", "c02", "c02_contrast", "c03",
@@ -229,6 +238,7 @@ class TestKernelAgainstOracle:
     def test_criterion_configs(self, monkeypatch, cfg, jobs, cost):
         if cost is not None:
             monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
+            monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         assert run_search(replace(cfg, worker_count=jobs)).to_jsonl() == oracle_jsonl(cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -409,9 +419,11 @@ class TestWorkerDeterminism:
         two_nsq(q_min=3, q_max=200, alpha_min=1, alpha_max=1),
     ], ids=["2nsq_mod4_1", "nsq_mod4_1", "nsq", "2nsq_one_shard"])
     def test_criterion_10_configs_with_helpers_from_shard_0(self, monkeypatch, tmp_path, cfg):
-        # criterion 10's shards are too fast to pay for a helper; here helpers start at once
+        # criterion 10's shards are too fast to pay for a helper; here helpers start at
+        # once, on blocks of 16 shards of NARROW numbers
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         real, started = oddperfect.search._start_helper, []
 
         def start(*args):
@@ -419,12 +431,12 @@ class TestWorkerDeterminism:
             return real(*args)
 
         monkeypatch.setattr(oddperfect.search, "_start_helper", start)
-        shards = len(range(cfg.q_min, cfg.q_max + 1, oddperfect.search.SHARD_WIDTH))
+        blocks = len(range(cfg.q_min, cfg.q_max + 1, oddperfect.search.CHECKPOINT_SHARDS * NARROW))
         runs = []
         for w in (1, 2, 3, 8):
             path = tmp_path / f"jobs_{w}.ckpt"
             report = run_search(replace(cfg, worker_count=w, checkpoint_path=str(path)))
-            assert len(started) == min(w, shards, 3) - 1
+            assert len(started) == min(w, blocks, 3) - 1
             started.clear()
             runs.append((report.to_jsonl(), path.read_bytes()))
         assert runs == [runs[0]] * 4
@@ -432,13 +444,13 @@ class TestWorkerDeterminism:
 
 @pytest.fixture
 def fake_helpers(monkeypatch):
-    """A helper launcher that starts no process: a helper scans its next shard
+    """A helper launcher that starts no process: a helper scans its next block
     in this process when the parent reads from its pipe.  Helpers cost
-    nothing to start, so the parent starts them before shard 0.
+    nothing to start, so the parent starts them before block 0.
 
     It records each helper's (first, step), its payload as pickled, how many
-    residue tables were built when it started, how many results the parent
-    has read, and the (first, q) at which each helper's shards begin.
+    residue tables were built when it started, how many blocks the parent
+    has read, and the (first, q) at which each helper's blocks begin.
     """
     seen = SimpleNamespace(strides=[], payloads=[], tables=[], received=0, scanned=[])
     monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
@@ -448,13 +460,13 @@ def fake_helpers(monkeypatch):
         seen.strides.append((first, step))
         seen.payloads.append(pickle.dumps(payload))
         seen.tables.append(oddperfect.search._alpha_tables.cache_info().currsize)
-        shards = itertools.islice(oddperfect.search._intervals(lo, cfg.q_max), first, None, step)
+        blocks = itertools.islice(oddperfect.search._blocks(lo, cfg.q_max), first, None, step)
 
         def recv():
             seen.received += 1
-            a, b = next(shards)
+            a, b = next(blocks)
             seen.scanned.append((first, a))
-            return oddperfect.search._scan_shard((cfg, a, b))
+            return oddperfect.search._scan_block(cfg, a, b)
 
         process = SimpleNamespace(kill=lambda: None, join=lambda: None)
         return process, SimpleNamespace(recv=recv, close=lambda: None)
@@ -473,7 +485,9 @@ class TestWorkerCap:
     def test_pool_never_exceeds_shards_or_cpus(
         self, monkeypatch, fake_helpers, q_max, cpus, helpers
     ):
-        # the parent and its helpers: at most min(jobs, shards, CPUs) processes
+        # the parent and its helpers: at most min(jobs, blocks, CPUs) processes,
+        # here with one shard per block
+        shards_per_block(monkeypatch, 1)
         if cpus is None:  # no affinity mask, and os.cpu_count() does not know
             monkeypatch.delattr(oddperfect.search.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: None)
@@ -497,9 +511,10 @@ class TestWorkerCap:
         assert oddperfect.search._usable_cpus() == usable
 
     def test_shards_in_flight_are_bounded(self, monkeypatch, fake_helpers):
-        # the parent holds at most one result per helper that it has not merged yet
+        # the parent holds at most one block per helper that it has not merged yet
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        shards_per_block(monkeypatch, 1)
         cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3)
         from_helpers = 0
         for i, _ in enumerate(oddperfect.search._shard_results(cfg, cfg.q_min)):
@@ -524,22 +539,23 @@ class TestWorkerCap:
         # forked helpers inherit them instead of each building its own
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         oddperfect.search._alpha_tables.cache_clear()
         run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
         assert fake_helpers.tables == [1]
 
 
-_real_scan_shard = oddperfect.search._scan_shard
+_real_scan_block = oddperfect.search._scan_block
 
 
-def interrupt_first_shard_hold_others(args):
-    """A shard scan for a real pool: the first shard raises KeyboardInterrupt,
+def interrupt_first_shard_hold_others(cfg, a, b):
+    """A block scan for real helpers: the first block raises KeyboardInterrupt,
     every other one first sleeps 2 s.  Module-level, so that it pickles.
     """
-    if args[1] < NARROW:
+    if a < NARROW:
         raise KeyboardInterrupt
     time.sleep(2)
-    return _real_scan_shard(args)
+    return _real_scan_block(cfg, a, b)
 
 
 class TestPoolLifetime:
@@ -547,7 +563,8 @@ class TestPoolLifetime:
     def two_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from shard 0
+        shards_per_block(monkeypatch, 1)
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from block 0
 
     def test_workers_exit_before_the_call_returns(self):
         before = set(multiprocessing.active_children())
@@ -556,7 +573,7 @@ class TestPoolLifetime:
         assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
 
     def test_interrupt_does_not_wait_for_running_shards(self, monkeypatch):
-        monkeypatch.setattr(oddperfect.search, "_scan_shard", interrupt_first_shard_hold_others)
+        monkeypatch.setattr(oddperfect.search, "_scan_block", interrupt_first_shard_hold_others)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
@@ -564,21 +581,21 @@ class TestPoolLifetime:
 
 
 def slow_helpers(monkeypatch, fail_at=None, exc=None):
-    """Make each shard a helper scans take 2 s, except the one starting at
+    """Make each block a helper scans take 2 s, except the one starting at
     fail_at, which raises exc at once; the parent scans as before."""
     parent = os.getpid()
 
-    def scan(args):
+    def scan(cfg, a, b):
         if os.getpid() != parent:
-            if args[1] == fail_at:
+            if a == fail_at:
                 raise exc
             time.sleep(2)
-        return _real_scan_shard(args)
+        return _real_scan_block(cfg, a, b)
 
-    monkeypatch.setattr(oddperfect.search, "_scan_shard", scan)
+    monkeypatch.setattr(oddperfect.search, "_scan_block", scan)
 
 
-# 4 shards of NARROW, scanned by the parent and two helpers at --jobs 3
+# 4 blocks of one shard of NARROW, scanned by the parent and two helpers at --jobs 3
 THREE_WORKERS = ["search", "--equation", "2nsq", "--q-max", "3000", "--alpha-max", "9",
                  "--jobs", "3", "--format", "jsonl"]
 
@@ -588,10 +605,11 @@ DEAD_HELPER = f"""
 import multiprocessing, os, sys
 from oddperfect import cli, search
 search.SHARD_WIDTH = {NARROW}
+search.CHECKPOINT_SHARDS = 1
 search.HELPER_START_S = 0
 search._usable_cpus = lambda: 3
-scan = search._scan_shard
-search._scan_shard = lambda args: os._exit(1) if args[1] == 3 + 2 * {NARROW} else scan(args)
+scan = search._scan_block
+search._scan_block = lambda cfg, a, b: os._exit(1) if a == 3 + 2 * {NARROW} else scan(cfg, a, b)
 code = cli.run(sys.argv[1:])
 print(f"children={{len(multiprocessing.active_children())}}", file=sys.stderr)
 sys.exit(code)
@@ -606,7 +624,8 @@ class TestHelperFailures:
     def three_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from shard 0
+        shards_per_block(monkeypatch, 1)
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from block 0
         self.before = set(multiprocessing.active_children())
         yield
         assert set(multiprocessing.active_children()) - self.before == set()
@@ -650,7 +669,7 @@ class TestHelperFailures:
                                capture_output=True, text=True, timeout=60)
         assert child.returncode == 3 and child.stdout == ""
         assert child.stderr.splitlines() == [
-            f"i/o error: a search helper died before it sent shard [{2 * NARROW + 3}, 2252]",
+            f"i/o error: a search helper died before it sent block [{2 * NARROW + 3}, 2252]",
             "children=0",
         ]
         # shards 0 and 1 were merged; resumed here, the scan runs the other two
@@ -666,7 +685,7 @@ HELPER_START_S = oddperfect.search.HELPER_START_S
 
 
 def slow_parent_clock(monkeypatch, seconds=0.5):
-    """Make the search's clock say that each shard the parent scans takes seconds."""
+    """Make the search's clock say that each block the parent scans takes seconds."""
     ticks = itertools.count(0, seconds)
     clock = SimpleNamespace(perf_counter=lambda: next(ticks))
     monkeypatch.setattr(oddperfect.search, "time", clock)
@@ -714,6 +733,7 @@ class TestHelperStart:
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
         # 4 shards of about 0.2 ms: before shard 1 a helper would save 0.3 ms of the 0.6 ms left
@@ -725,6 +745,7 @@ class TestHelperStart:
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
         build = oddperfect.search._alpha_tables
@@ -739,6 +760,7 @@ class TestHelperStart:
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        shards_per_block(monkeypatch, 4)
         slow_parent_clock(monkeypatch)
         cursors = record_cursors(monkeypatch)
         runs = []
@@ -748,11 +770,12 @@ class TestHelperStart:
             runs.append((run_search(cfg).to_jsonl(), path.read_bytes(), cursors[:]))
             cursors.clear()
         assert runs[0] == runs[1]
-        assert runs[0][2] == [1602, 3000]
-        # 30 shards from q = 3: helper j takes shards 1 + j, 1 + j + 3, ...
+        assert runs[0][2] == [2 + 400 * i for i in range(1, 8)] + [3000]
+        # 30 shards from q = 3 in 8 blocks of 4 (the last of 2): helper j takes
+        # blocks 1 + j, 1 + j + 3, ...
         assert fake_helpers.strides == [(1, 3), (2, 3)]
         assert sorted(fake_helpers.scanned) == [
-            (j, 3 + 100 * i) for j in (1, 2) for i in range(1 + j, 30, 3)
+            (j, 3 + 400 * i) for j in (1, 2) for i in range(1 + j, 8, 3)
         ]
 
     @pytest.mark.parametrize("cost, strides", [(0.75, [(1, 2)]), (0.76, [])],
@@ -763,6 +786,7 @@ class TestHelperStart:
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         slow_parent_clock(monkeypatch)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
@@ -779,6 +803,7 @@ class TestHelperStart:
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         slow_parent_clock(monkeypatch)
         cfg = two_nsq(q_max=q_max, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
@@ -789,20 +814,21 @@ class TestHelperStart:
     def test_interrupt_after_the_switch_resumes_to_the_same_bytes(self, monkeypatch, tmp_path):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        shards_per_block(monkeypatch, 1)
         slow_parent_clock(monkeypatch)
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=2, checkpoint_path=str(path))
         before, parent, scanned = set(multiprocessing.active_children()), os.getpid(), []
 
-        def scan(args):
+        def scan(cfg, a, b):
             if os.getpid() == parent:
-                scanned.append(args[1])
-                if args[1] == 3 + 3 * NARROW:
+                scanned.append(a)
+                if a == 3 + 3 * NARROW:
                     raise KeyboardInterrupt
-            return _real_scan_shard(args)
+            return _real_scan_block(cfg, a, b)
 
         with monkeypatch.context() as m:
-            m.setattr(oddperfect.search, "_scan_shard", scan)
+            m.setattr(oddperfect.search, "_scan_block", scan)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
         # a real helper started before shard 1 and scanned shard 2, which was merged
@@ -813,6 +839,29 @@ class TestHelperStart:
         clean = replace(cfg, worker_count=1, checkpoint_path=str(tmp_path / "clean.ckpt"))
         assert resumed == run_search(clean).to_jsonl()
         assert checkpoint == (tmp_path / "clean.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("shards", [20, 30, 40])
+    def test_one_slow_first_shard_starts_no_helper(self, monkeypatch, fake_helpers, shards):
+        # shards of 0.2 ms at --jobs 2, the first of 1 ms: the mean of the first shard
+        # alone says 19-39 ms are left, past two helper starts; the mean of a block
+        # says at most 6 ms, and at most 1 ms where one block is left for a helper
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        real, now = oddperfect.search._eligible, [0.0]
+
+        def eligible(lo, hi, residue_filter):
+            # the clock moves by the shards each sieve call covers
+            shards, first = len(range(lo, hi + 1, 100)), lo == 3
+            now[0] += 1e-3 * first + 2e-4 * (shards - first)
+            return real(lo, hi, residue_filter)
+
+        monkeypatch.setattr(oddperfect.search, "_eligible", eligible)
+        monkeypatch.setattr(oddperfect.search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+        cfg = two_nsq(q_max=2 + 100 * shards, alpha_max=9)
+        report = run_search(replace(cfg, worker_count=2))
+        assert fake_helpers.strides == []
+        assert report.to_jsonl() == run_search(cfg).to_jsonl()
 
     def test_first_shard_of_the_largest_range_comes_at_once(self):
         # about 1.7e10 shards: a list of them would not fit under the limit
@@ -1207,3 +1256,127 @@ class TestPredictedByTheReduction:
         assert hits == predicted_hits(k, lo, hi, 1, alpha_max, residue_filter)
         primes = [q for q in deep_primes(lo, hi) if residue_filter in (None, q % 4)]
         assert report.scanned_primes == len(primes)
+
+
+#: Numbers per block at the module's widths: 2^18, one primes_between segment.
+BLOCK = oddperfect.search.CHECKPOINT_SHARDS * oddperfect.search.SHARD_WIDTH
+
+
+def block_edge_hit(exponent: int) -> int:
+    """The one 2nsq hit of deep_window(exponent), a prime 2n^2 - 1 at alpha = 1."""
+    (q, _, _), = predicted_hits(2, *deep_window(exponent), 1, 1, None)
+    return q
+
+
+#: (q_min, q_max) of windows around a hit q at the module's widths, each end at
+#: +-1 of a block edge, which is also a primes_between segment edge.
+BLOCK_WINDOWS = {
+    # q is block 0's last q; the last block is one shard of one number
+    "hit_ends_block_0": lambda q: (q - BLOCK + 1, q + BLOCK + 1),
+    # q is block 1's first q; the last shard is one number short
+    "hit_starts_block_1": lambda q: (q - BLOCK, q + BLOCK - 2),
+    # q is block 0's last q but one; the last block is one whole shard
+    "hit_ends_block_0_but_one": lambda q: (q - BLOCK + 2, q + 1 + oddperfect.search.SHARD_WIDTH),
+    # q is q_max, the last q of the second of two whole blocks
+    "hit_is_q_max": lambda q: (q - 2 * BLOCK + 1, q),
+}
+
+
+def shards_from_oracles(cfg: SearchConfig, primes: list[int], hits: list[tuple]) -> list:
+    """(last q, primes scanned, hits) of each shard of cfg's range, from the sorted
+    eligible primes and the (q, alpha, n) hits of that range."""
+    width, shards = oddperfect.search.SHARD_WIDTH, []
+    for a in range(max(cfg.q_min, 2), cfg.q_max + 1, width):
+        b = min(a + width - 1, cfg.q_max)
+        count = bisect.bisect_right(primes, b) - bisect.bisect_left(primes, a)
+        shards.append((b, count, [hit for hit in hits if a <= hit[0] <= b]))
+    return shards
+
+
+def shards_scanned(cfg: SearchConfig) -> list:
+    """(last q, primes scanned, hits) of each shard of cfg's range as the scan merges them."""
+    return [(b, count, [(r.q, r.alpha, r.n) for r in records])
+            for b, count, records in oddperfect.search._shard_results(cfg, cfg.q_min)]
+
+
+class TestBlocks:
+    """A worker scans blocks of CHECKPOINT_SHARDS shards, one sieve call and one
+    kernel call each, and splits their counts and records at the shards' ends."""
+
+    @pytest.fixture(autouse=True)
+    def helpers_from_block_0(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
+
+    @pytest.mark.parametrize("k, residue_filter", [
+        (2, None), (2, 1), (2, 3), (1, None), (1, 1), (1, 3),
+    ], ids=["2nsq", "2nsq_mod4_1", "2nsq_mod4_3", "nsq", "nsq_mod4_1", "nsq_mod4_3"])
+    @pytest.mark.parametrize("window", BLOCK_WINDOWS)
+    def test_deep_shards_either_side_of_a_block_edge(self, window, k, residue_filter):
+        # the hit is q = 1 mod 4 near 10^9 and q = 3 mod 4 near 10^10
+        hit = block_edge_hit(10 if residue_filter == 3 else 9)
+        lo, hi = BLOCK_WINDOWS[window](hit)
+        cfg = SearchConfig(k, q_min=lo, q_max=hi, alpha_max=25, residue_filter=residue_filter)
+        primes = [q for q in deep_primes(lo, hi) if residue_filter in (None, q % 4)]
+        expected = shards_from_oracles(cfg, primes, predicted_hits(k, lo, hi, 1, 25,
+                                                                   residue_filter))
+        assert k == 1 or any(records for _, _, records in expected)
+        for jobs in (1, 2, 3):
+            assert shards_scanned(replace(cfg, worker_count=jobs)) == expected
+
+    @pytest.mark.parametrize("k, residue_filter", [
+        (2, None), (2, 1), (2, 3), (1, None), (1, 1), (1, 3),
+    ], ids=["2nsq", "2nsq_mod4_1", "2nsq_mod4_3", "nsq", "nsq_mod4_1", "nsq_mod4_3"])
+    @pytest.mark.parametrize("lo, hi", [(1, 3200), (2, 3201), (3, 3203), (1599, 3298),
+                                        (1601, 4799)])
+    def test_narrow_shards_to_the_naive_search(self, monkeypatch, lo, hi, k, residue_filter):
+        # blocks of 1 600 numbers: two whole ones from q = 2, one number past two from 3,
+        # a last block of one shard, and a last shard one number short
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        cfg = SearchConfig(k, q_min=lo, q_max=hi, alpha_max=9, residue_filter=residue_filter)
+        primes = [q for q in primes_in(lo, hi) if residue_filter in (None, q % 4)]
+        hits = search_solutions(EQUATIONS[k], lo, hi, 1, 9, residue_filter)
+        expected = shards_from_oracles(cfg, primes, hits)
+        for jobs in (1, 2, 3):
+            assert shards_scanned(replace(cfg, worker_count=jobs)) == expected
+
+    def test_one_sieve_call_and_one_kernel_call_per_block(self, monkeypatch):
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        sieved, kernel = [], []
+        eligible, hits = oddperfect.search._eligible, oddperfect.search._hits
+
+        def sieve(lo, hi, residue_filter):
+            sieved.append((lo, hi))
+            return eligible(lo, hi, residue_filter)
+
+        def count_kernel(cfg, primes):
+            kernel.append(len(primes))
+            return hits(cfg, primes)
+
+        monkeypatch.setattr(oddperfect.search, "_eligible", sieve)
+        monkeypatch.setattr(oddperfect.search, "_hits", count_kernel)
+        report = run_search(two_nsq(q_max=4002, alpha_max=9))
+        # 40 shards from q = 3: two blocks of 16 and one of 8
+        assert sieved == [(3, 1602), (1603, 3202), (3203, 4002)]
+        assert sum(kernel) == report.scanned_primes and len(kernel) == 3
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_interrupt_at_each_shard_edge_of_a_block_resumes_to_the_clean_bytes(
+        self, monkeypatch, tmp_path, jobs
+    ):
+        # blocks of 16 shards of 100: every edge inside block 0 and inside block 1,
+        # which at --jobs 2 a helper scans
+        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        cfg = two_nsq(q_max=5000, alpha_max=9, worker_count=jobs)
+        clean_path = tmp_path / "clean.ckpt"
+        clean = run_search(replace(cfg, checkpoint_path=str(clean_path))).to_jsonl()
+        path = tmp_path / "scan.ckpt"
+        for stop in [*range(1, 16), *range(17, 32)]:
+            with monkeypatch.context() as m:
+                interrupt_at_shard(m, stop)
+                with pytest.raises(KeyboardInterrupt):
+                    run_search(replace(cfg, checkpoint_path=str(path)))
+            assert json.loads(path.read_text())["q_done"] == 2 + 100 * stop
+            assert run_search(replace(cfg, checkpoint_path=str(path))).to_jsonl() == clean
+            assert path.read_bytes() == clean_path.read_bytes()
+            path.unlink()
