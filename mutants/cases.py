@@ -53,6 +53,7 @@ T_CLI = "tests/test_cli.py::"
 T_QUADRATIC = "tests/test_quadratic.py::"
 T_CLASSIFY = "tests/test_classify.py::"
 T_ACCEPTANCE = "tests/test_acceptance.py::"
+T_API = "tests/test_api.py::"
 
 #: The change that split the search kernel from its sieve and resumes through it.
 HIT_TEST = "one hit test for the scan and the resume"
@@ -63,13 +64,15 @@ THIN_SEARCH = "`oddperfect search` restates nothing"
 #: The change that decides the search helpers from the shards left and
 #: requires SearchConfig's numbers to be ints.
 ONE_DECISION = "One decision starts the search helpers"
-#: The change that checkpoints once per CHECKPOINT_SHARDS merged shards and when
-#: the scan stops, and recounts a resume CHECKPOINT_SHARDS shards per sieve call.
+#: The change that checkpoints once per 16 merged 2^14-number shards and when
+#: the scan stops, and recounts a resume 16 shards per sieve call.
 CADENCE = "Checkpoint once per 16 merged shards"
 #: The change that times the parent's shards on one clock and stops every helper in one finally.
 ONE_CLOCK = "One clock and one teardown for the search helpers"
-#: The change that scans in blocks of CHECKPOINT_SHARDS shards and compacts the kernel's masks.
+#: The change that scans in blocks of 16 shards and compacts the kernel's masks.
 BLOCKS = "Scan in blocks of 16 shards"
+#: The change that makes the block the one unit that a search scans, merges and saves after.
+ONE_UNIT = "The block is the search's only unit"
 
 _RESUMED = T_SEARCH + "TestCheckpointing::test_resumed_hits_are_verified"
 _HELPER_START = T_SEARCH + "TestHelperStart::"
@@ -250,7 +253,7 @@ CASES: tuple[Mutant, ...] = (
             T_CLI + "TestIdentityMMaxBound::test_past_the_bound_exits_one_under_a_memory_limit[1_001]"),
            LATE_HELPERS),
     Mutant("helpers-start-only-past-break-even", SEARCH,
-           "(shards - done) >= w * HELPER_START_S", "(shards - done) > w * HELPER_START_S",
+           "(blocks - i) >= w * HELPER_START_S", "(blocks - i) > w * HELPER_START_S",
            (_HELPER_START + "test_helpers_start_at_the_break_even_point[break_even]",
             T_SEARCH + "TestHelperFailures::test_abandoned_scan_stops_its_helpers"),
            LATE_HELPERS),
@@ -276,19 +279,7 @@ CASES: tuple[Mutant, ...] = (
              ONE_DECISION)
       for name, value in [("q_min", 3.5), ("q_max", 1e5), ("alpha_min", True),
                           ("alpha_max", 25.0), ("worker_count", 2.0), ("residue_filter", 1.0)]),
-    # checkpoints every 16 merged shards and at the stop
-    Mutant("stop-save-dropped", SEARCH,
-           "# and raise what stopped the scan\n                checkpoint_save(cfg, done, records)\n",
-           "# and raise what stopped the scan\n                pass\n",
-           (_CADENCE + "test_an_interrupt_between_saves_keeps_every_merged_shard",
-            T_SEARCH + "TestCheckpointing::test_fresh_interrupt_resume_cycle",
-            T_ACCEPTANCE + "test_criterion_10_determinism"),
-           CADENCE),
-    Mutant("save-cadence-one-shard-late", SEARCH,
-           "or not i % CHECKPOINT_SHARDS):", "or i % CHECKPOINT_SHARDS == 1):",
-           (_CADENCE + "test_saves_every_16_merged_shards_and_at_the_end",
-            _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
-           CADENCE),
+    # a resume recounts the primes up to the cursor
     Mutant("recount-one-short-of-the-cursor", SEARCH,
            "_blocks(cfg.q_min, done)",
            "_blocks(cfg.q_min, done - 1)",
@@ -308,28 +299,17 @@ CASES: tuple[Mutant, ...] = (
            (_HELPER_START + "test_no_helper_for_a_shard_that_does_not_exist[3_shards]",
             _HELPER_START + "test_slow_shards_start_the_helpers_after_the_first"),
            ONE_CLOCK),
-    # scan in blocks of 16 shards, one sieve call and one compacting kernel call each
-    Mutant("shard-split-one-prime-early", SEARCH,
-           'np.searchsorted(primes, [a - 1, *ends], side="right")',
-           'np.searchsorted(primes, [a - 1, *ends], side="left")',
-           (_BLOCKS + "test_deep_shards_either_side_of_a_block_edge",
-            _BLOCKS + "test_narrow_shards_to_the_naive_search"),
-           BLOCKS),
-    Mutant("record-split-one-hit-early", SEARCH,
-           'np.searchsorted([r.q for r in records], [a - 1, *ends], side="right")',
-           'np.searchsorted([r.q for r in records], [a - 1, *ends], side="left")',
-           (_BLOCKS + "test_deep_shards_either_side_of_a_block_edge[hit_ends_block_0-2nsq]",
-            _BLOCKS + "test_narrow_shards_to_the_naive_search"),
-           BLOCKS),
+    # scan in blocks, one sieve call and one compacting kernel call each
     Mutant("compaction-keeps-rows-with-every-word-set", SEARCH,
            "keep = mask.any(axis=1)", "keep = mask.all(axis=1)",
            (_REDUCTION + "test_kernel_over_every_integer[nsq-to_2e4]",
             T_SEARCH + "TestKernelAgainstOracle::test_large_q_and_alpha"),
            BLOCKS),
+    # a block 2^14 numbers short of a primes_between segment
     Mutant("block-one-shard-short", SEARCH,
-           "    width = CHECKPOINT_SHARDS * SHARD_WIDTH\n",
-           "    width = (CHECKPOINT_SHARDS - 1) * SHARD_WIDTH\n",
-           (_BLOCKS + "test_one_sieve_call_and_one_kernel_call_per_block",),
+           "BLOCK_WIDTH = 1 << 18", "BLOCK_WIDTH = 15 << 14",
+           (T_API + "test_size_parameters_are_constants",
+            _HELPER_START + "test_first_shard_of_the_largest_range_comes_at_once"),
            BLOCKS),
     Mutant("helper-blocks-from-the-scan-start", SEARCH,
            "itertools.islice(_blocks(lo, cfg.q_max), first, None, step)",
@@ -337,10 +317,19 @@ CASES: tuple[Mutant, ...] = (
            (_BLOCKS + "test_an_interrupt_at_each_shard_edge_of_a_block_resumes_to_the_clean_bytes",
             _HELPER_START + "test_interrupt_after_the_switch_resumes_to_the_same_bytes"),
            BLOCKS),
-    Mutant("helper-start-divides-by-blocks-done", SEARCH,
-           "spent / max(done, 1) * (shards - done)", "spent / max(i, 1) * (shards - done)",
-           (_HELPER_START + "test_one_slow_first_shard_starts_no_helper",),
-           BLOCKS),
+    # the block is the one unit a scan merges and saves after
+    Mutant("save-only-at-the-end", SEARCH,
+           "        if cfg.checkpoint_path is not None:\n            checkpoint_save(",
+           "        if cfg.checkpoint_path is not None and done == cfg.q_max:\n"
+           "            checkpoint_save(",
+           (_CADENCE + "test_saves_after_every_merged_block",
+            _CADENCE + "test_a_stop_keeps_every_merged_block",
+            T_ACCEPTANCE + "test_criterion_10_determinism"),
+           ONE_UNIT),
+    Mutant("checkpoint-path-type-unchecked", SEARCH,
+           "if not isinstance(self.checkpoint_path, (str, type(None))):", "if False:",
+           (T_SEARCH + "TestConfig::test_checkpoint_path_must_be_a_str[fd]",),
+           ONE_UNIT),
     # search kernel v3, reported in prose and written as cases here
     Mutant("alpha-window-ignored", SEARCH,
            "    bits = (1 << cfg.alpha_max + 1) - (1 << cfg.alpha_min)\n",
@@ -455,4 +444,16 @@ RETIRED: tuple[Retired, ...] = (
     Retired("helpers-not-killed", "a6a0667", ONE_CLOCK,
             "the except block that killed the helpers is gone; the one kill left is in "
             "the finally, and dropping it is the case teardown-kills-no-helper"),
+    Retired("stop-save-dropped", CADENCE, ONE_UNIT,
+            "the stop save is gone: every merged block is saved before the next is taken, "
+            "and dropping that save is the case save-only-at-the-end"),
+    Retired("save-cadence-one-shard-late", CADENCE, ONE_UNIT,
+            "the save every 16th shard is gone; a save after every block is the case "
+            "save-only-at-the-end"),
+    Retired("shard-split-one-prime-early", BLOCKS, ONE_UNIT,
+            "a block's prime count is no longer split at shard ends"),
+    Retired("record-split-one-hit-early", BLOCKS, ONE_UNIT,
+            "a block's records are no longer split at shard ends"),
+    Retired("helper-start-divides-by-blocks-done", BLOCKS, ONE_UNIT,
+            "the helper rule counts in blocks, so dividing by the blocks done is the code"),
 )

@@ -2,13 +2,12 @@
 
 The scan walks primes q in a range and exponents alpha in a range, testing
 whether sigma(q^alpha) = k*n^2 for the configured k: twice a square (k = 2,
-"2nsq") or a square (k = 1, "nsq").  Work is sharded into contiguous
-q-intervals of SHARD_WIDTH numbers, scanned in blocks of CHECKPOINT_SHARDS
-shards with one sieve call and one kernel call each, and merged in shard
-order, so the output is byte-identical for any worker count, which is what
-makes golden-file and resume testing possible.  With N workers the calling
-process scans alone until the shards left pay for its helper processes, at most
-N - 1 and fewer than the blocks left; then it scans its share and merges theirs.
+"2nsq") or a square (k = 1, "nsq").  Work is split into contiguous blocks of
+BLOCK_WIDTH numbers, each scanned with one sieve call and one kernel call and
+merged in block order, so the output is byte-identical for any worker count,
+which is what makes golden-file and resume testing possible.  With N workers the
+calling process scans alone until the blocks left pay for its helper processes,
+at most N - 1 and fewer than the blocks left; then it scans its share and merges theirs.
 
 sigma(q^alpha) mod m depends only on q mod m and alpha, so for each small m
 and residue r one bitmask marks the alpha at which sigma(r^alpha) is a k*x^2
@@ -37,18 +36,17 @@ import numpy as np
 from .arith import is_prime, isqrt_exact, primes_between, sigma_prime_power
 from .errors import CheckpointError, ConsistencyError
 
-#: Numbers q per shard, the unit that a scan merges and a checkpoint's cursor counts in.
-SHARD_WIDTH = 1 << 14
-#: Shards per block, which a worker scans with one sieve call and one kernel call, per
-#: checkpoint save and per resume-recount sieve call: 2^18 numbers, one primes_between
-#: segment.  A block's results cross a helper's pipe in about 14 us, against 3.5-4.7 ms to
-#: scan it near q = 1e9; an atomic write takes 0.1-0.2 ms (ext4, 2-CPU Xeon, CPython 3.11.7).
-CHECKPOINT_SHARDS = 16
+#: Numbers q per block: the unit that a worker scans with one sieve call and one kernel
+#: call, a helper's pipe carries, a scan merges and a checkpoint saves after, and one
+#: resume-recount sieve call.  2^18 is one primes_between segment.  A block's results cross
+#: a helper's pipe in about 14 us, against 3.5-4.7 ms to scan it near q = 1e9; an atomic
+#: write takes 0.1-0.2 ms (ext4, 2-CPU Xeon, CPython 3.11.7).
+BLOCK_WIDTH = 1 << 18
 
 #: Seconds that one helper process adds to a scan, which the parent weighs before each block:
 #: about 5 ms, of which 0.9-1.5 ms in start(), 2.2-2.8 ms until the child runs its target,
 #: 1.0-1.4 ms more for its first scan than for its next, and 0.9-1.2 ms in join() (medians
-#: of 20 starts when helpers scanned single shards, 2-vCPU VM, CPython 3.11.7).
+#: of 20 starts when helpers scanned 2^14 numbers at a time, 2-vCPU VM, CPython 3.11.7).
 HELPER_START_S = 5e-3
 
 #: The residue sieve's moduli: sigma(q^alpha) mod m depends on q mod m and alpha only.
@@ -125,6 +123,9 @@ class SearchConfig:
             raise ValueError(f"residue_filter must be 1 or 3, got {self.residue_filter}")
         if self.worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {self.worker_count}")
+        # open() would take an int as a file descriptor, and close it
+        if not isinstance(self.checkpoint_path, (str, type(None))):
+            raise ValueError(f"checkpoint_path must be a str or None, got {self.checkpoint_path!r}")
 
     def identity(self) -> dict:
         """The fields that define what is searched (not how)."""
@@ -248,17 +249,11 @@ def _alpha_masks(cfg: SearchConfig) -> tuple[np.ndarray, np.ndarray]:
     return _alpha_tables(cfg.k, words), np.frombuffer(bits.to_bytes(8 * words, "little"), "<u8")
 
 
-def _scan_block(cfg: SearchConfig, a: int, b: int) -> list[tuple]:
-    """(last q, primes scanned, records in (q, alpha) order) of each shard of the
-    block [a, b], from one sieve call and one kernel call split at the shards' ends."""
+def _scan_block(cfg: SearchConfig, a: int, b: int) -> tuple:
+    """(b, primes scanned, records in (q, alpha) order) of the block [a, b],
+    from one sieve call and one kernel call."""
     primes = _eligible(a, b, cfg.residue_filter)
-    records = _hits(cfg, primes)
-    ends = [min(x + SHARD_WIDTH, b + 1) - 1 for x in range(a, b + 1, SHARD_WIDTH)]
-    # how many primes and records lie at or below a - 1 and each shard's end
-    counts = np.searchsorted(primes, [a - 1, *ends], side="right").tolist()
-    cuts = np.searchsorted([r.q for r in records], [a - 1, *ends], side="right").tolist()
-    return [(end, counts[s + 1] - counts[s], records[cuts[s] : cuts[s + 1]])
-            for s, end in enumerate(ends)]
+    return b, len(primes), _hits(cfg, primes)
 
 
 def _hits(cfg: SearchConfig, primes: np.ndarray) -> list[SolutionRecord]:
@@ -281,74 +276,64 @@ def _hits(cfg: SearchConfig, primes: np.ndarray) -> list[SolutionRecord]:
 
 
 def _blocks(lo: int, hi: int):
-    """[lo, hi] from q = 2 on, as consecutive blocks of CHECKPOINT_SHARDS * SHARD_WIDTH numbers."""
-    width = CHECKPOINT_SHARDS * SHARD_WIDTH
-    for a in range(max(lo, 2), hi + 1, width):
-        yield a, min(a + width - 1, hi)
+    """[lo, hi] from q = 2 on, as consecutive blocks of BLOCK_WIDTH numbers."""
+    for a in range(max(lo, 2), hi + 1, BLOCK_WIDTH):
+        yield a, min(a + BLOCK_WIDTH - 1, hi)
 
 
 def run_search(cfg: SearchConfig) -> SearchReport:
     """Run the configured scan to completion.
 
     Results arrive in ascending (q, alpha) order whatever the worker count.
-    With a checkpoint path configured, progress is saved every CHECKPOINT_SHARDS
-    merged shards and when the scan stops, and a previous run with the same config
-    identity is continued instead of restarted; the final report is byte-identical either way.
+    With a checkpoint path configured, progress is saved after every merged block,
+    and a previous run with the same config identity is continued instead of
+    restarted; the final report is byte-identical either way.
     """
-    done, records, scanned, i = cfg.q_min - 1, [], 0, 0
+    done, records, scanned = cfg.q_min - 1, [], 0
     if cfg.checkpoint_path is not None and os.path.exists(cfg.checkpoint_path):
         done, records = checkpoint_resume(cfg)
         # re-derived, not read from disk: the primes up to the cursor
         recount = _blocks(cfg.q_min, done)
         scanned = sum(len(_eligible(lo, hi, cfg.residue_filter)) for lo, hi in recount)
-    try:
-        for i, (done, count, hits) in enumerate(_shard_results(cfg, done + 1), 1):
-            records += hits
-            scanned += count
-            if cfg.checkpoint_path is not None and (done == cfg.q_max or not i % CHECKPOINT_SHARDS):
-                checkpoint_save(cfg, done, records)
-    except BaseException:  # the scan stopped early: save the shards merged since the last save
-        if cfg.checkpoint_path is not None and i % CHECKPOINT_SHARDS:
-            with contextlib.suppress(CheckpointError):  # and raise what stopped the scan
-                checkpoint_save(cfg, done, records)
-        raise
+    for done, count, hits in _block_results(cfg, done + 1):
+        records += hits
+        scanned += count
+        if cfg.checkpoint_path is not None:
+            checkpoint_save(cfg, done, records)
     # sigma(q^alpha) is odd for even alpha: never k*n^2 for an even k, for any scanned prime
     even = cfg.alpha_max // 2 - (cfg.alpha_min - 1) // 2
     skipped = even * scanned if cfg.k % 2 == 0 else 0
     return SearchReport(cfg, tuple(records), scanned, skipped)
 
 
-def _shard_results(cfg: SearchConfig, lo: int):
-    """(last q, primes scanned, records) of each shard of [lo, q_max], in order.
+def _block_results(cfg: SearchConfig, lo: int):
+    """(last q, primes scanned, records) of each block of [lo, q_max], in order.
 
-    The range is scanned in blocks of CHECKPOINT_SHARDS shards from lo on.  The
-    parent scans alone until the switch: the first block i at which the time since
-    block 0 began, over the shards done, times the shards left reaches w helper
-    starts, for w = min(worker_count, blocks left, usable CPUs).  There helper j < w
+    The parent scans alone until the switch: the first block i at which the time
+    since block 0 began, over the i blocks done, times the blocks left reaches w
+    helper starts, for w = min(worker_count, blocks left, usable CPUs).  There helper j < w
     starts on blocks i + j, i + j + w, ..., the parent keeps i, i + w, ..., and it
     reads each helper's blocks from its pipe in order.  However the scan ends, every
     helper is then killed and joined: nothing it could still send is read.
     """
     # the tables, built before block 0, are no scan time, and forked helpers inherit them
     _alpha_masks(cfg)
-    shards = len(range(max(lo, 2), cfg.q_max + 1, SHARD_WIDTH))
-    blocks = -(-shards // CHECKPOINT_SHARDS)
+    blocks = len(range(max(lo, 2), cfg.q_max + 1, BLOCK_WIDTH))
     helpers, switch, start = [], None, time.perf_counter()
     try:
         for i, (a, b) in enumerate(_blocks(lo, cfg.q_max)):
             if switch is None:
                 w = min(cfg.worker_count, blocks - i, _usable_cpus())
-                done = i * CHECKPOINT_SHARDS
                 spent = time.perf_counter() - start if i else 0.0
-                if spent / max(done, 1) * (shards - done) >= w * HELPER_START_S:
+                if spent / max(i, 1) * (blocks - i) >= w * HELPER_START_S:
                     switch = i
                     for j in range(1, w):
                         helpers.append(_start_helper(cfg, a, j, w))
             turn = 0 if switch is None else (i - switch) % (len(helpers) + 1)
             if turn:
-                yield from _receive(helpers[turn - 1][1], a, b)
+                yield _receive(helpers[turn - 1][1], a, b)
             else:
-                yield from _scan_block(cfg, a, b)
+                yield _scan_block(cfg, a, b)
     finally:
         for process, pipe in helpers:
             process.kill()
@@ -386,7 +371,7 @@ def _helper(send, cfg: SearchConfig, lo: int, first: int, step: int) -> None:
             send.send(exc)
 
 
-def _receive(pipe, a: int, b: int) -> list[tuple]:
+def _receive(pipe, a: int, b: int) -> tuple:
     """A helper's results for block [a, b]; what the helper raised is raised here."""
     try:
         result = pipe.recv()
@@ -400,7 +385,7 @@ def _receive(pipe, a: int, b: int) -> list[tuple]:
 def checkpoint_save(cfg: SearchConfig, q_done: int, records: list[SolutionRecord]) -> None:
     """Atomically write cfg's checkpoint; an existing file is never corrupted.
 
-    The record holds the search identity, the largest q whose shard is done,
+    The record holds the search identity, the largest q whose block is done,
     the (q, alpha) of each hit up to it, and a digest of those three.
     """
     body = {

@@ -199,26 +199,27 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         workers_ok = workers_ok and len(outputs) == 1
         baselines.append(outputs.pop())
 
-    # one interrupt/resume cycle must reproduce the uninterrupted bytes:
-    # taking the third shard raises KeyboardInterrupt, after two were merged
+    # one interrupt/resume cycle must reproduce the uninterrupted bytes: in blocks
+    # of 2^14 numbers, taking the third raises KeyboardInterrupt, after two were merged
     cfg = SearchConfig(1, q_min=3, q_max=50_000,
                        alpha_min=1, alpha_max=25,
                        checkpoint_path=str(tmp_path / "resume.ckpt"))
-    results = oddperfect.search._shard_results
+    results = oddperfect.search._block_results
 
     def interrupting_results(cfg, lo):
         with contextlib.closing(results(cfg, lo)) as scan:
             yield from itertools.islice(scan, 2)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(oddperfect.search, "_shard_results", interrupting_results)
+    monkeypatch.setattr(oddperfect.search, "BLOCK_WIDTH", 16384)
+    monkeypatch.setattr(oddperfect.search, "_block_results", interrupting_results)
     try:
         run_search(cfg)
         interrupted = False
     except KeyboardInterrupt:
         interrupted = True
     monkeypatch.undo()
-    # the interrupt saved the two merged shards, so the resume starts at the third
+    # the two merged blocks were saved, so the resume starts at the third
     path = tmp_path / "resume.ckpt"
     saved = path.exists() and json.loads(path.read_text())["q_done"]
     resumed = run_search(cfg).to_jsonl()
@@ -226,6 +227,6 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
         10,
         "jsonl byte-identical across worker counts {1, 2, 8} and across "
         "an interrupt/resume cycle from the checkpoint the interrupt left",
-        workers_ok and interrupted and saved == 3 + 2 * oddperfect.search.SHARD_WIDTH - 1
+        workers_ok and interrupted and saved == 3 + 2 * 16384 - 1
         and resumed == baselines[2],
     )

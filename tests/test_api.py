@@ -33,7 +33,8 @@ def test_removed_names_are_gone():
         assert name not in oddperfect.__all__
         assert not hasattr(oddperfect, name), name
     for name in ("CheckpointState", "SHARD_PRIMES", "_MODULI", "_TABLE_FACTORS",
-                 "_RESIDUE_TABLES", "_residue_tables", "Equation"):
+                 "_RESIDUE_TABLES", "_residue_tables", "Equation", "SHARD_WIDTH",
+                 "CHECKPOINT_SHARDS", "_shard_results"):
         assert not hasattr(oddperfect.search, name), name
     for name in ("unit_group", "divides", "UnitSign"):
         assert not hasattr(oddperfect.quadratic, name), name
@@ -58,9 +59,8 @@ def test_run_search_takes_only_a_config():
 def test_size_parameters_are_constants():
     for fn in (oddperfect.factorize, oddperfect.odd_multiperfect_upto):
         assert len(inspect.signature(fn).parameters) == 1, fn.__name__
-    # criterion 10 interrupts the third of at least three shards at q <= 50 000
-    assert type(oddperfect.search.SHARD_WIDTH) is int
-    assert 0 < oddperfect.search.SHARD_WIDTH <= 16_666
+    # a search block is one primes_between segment: one sieve call scans it whole
+    assert oddperfect.search.BLOCK_WIDTH == oddperfect.arith._SIEVE_SEGMENT
     # the smallest-prime-factor table holds bound / 2 uint16 entries: 1 MB at 2^20
     bound = oddperfect.arith._TABLE_BOUND
     assert type(bound) is int and 0 < bound <= 1 << 20 and bound & (bound - 1) == 0

@@ -55,7 +55,7 @@ from _oracles import (
 #: k = 2 and k = 1, by the name of their equation.
 KS = [pytest.param(2, id="2nsq"), pytest.param(1, id="nsq")]
 
-#: Shard width that splits q <= 3000 into 4 shards, as many as the 128-prime
+#: Block width that splits q <= 3000 into 4 blocks, as many as the 128-prime
 #: shards these tests were written for.
 NARROW = 750
 
@@ -68,9 +68,9 @@ def nsq(**kw):
     return SearchConfig(1, **kw)
 
 
-def interrupt_at_shard(monkeypatch, k):
-    """Make run_search raise KeyboardInterrupt as it takes its k-th merged shard (0-based)."""
-    real = oddperfect.search._shard_results
+def interrupt_at_block(monkeypatch, k):
+    """Make run_search raise KeyboardInterrupt as it takes its k-th block (0-based)."""
+    real = oddperfect.search._block_results
 
     def results(cfg, lo):
         with contextlib.closing(real(cfg, lo)) as scan:
@@ -79,12 +79,12 @@ def interrupt_at_shard(monkeypatch, k):
                     raise KeyboardInterrupt
                 yield result
 
-    monkeypatch.setattr(oddperfect.search, "_shard_results", results)
+    monkeypatch.setattr(oddperfect.search, "_block_results", results)
 
 
-def shards_per_block(monkeypatch, shards):
-    """Scan in blocks of that many shards, which also sets the checkpoint cadence."""
-    monkeypatch.setattr(oddperfect.search, "CHECKPOINT_SHARDS", shards)
+def block_width(monkeypatch, width):
+    """Scan, merge and save in blocks of width numbers."""
+    monkeypatch.setattr(oddperfect.search, "BLOCK_WIDTH", width)
 
 
 class TestConfig:
@@ -114,6 +114,12 @@ class TestConfig:
         # each would fail in the scan, or search as the int it equals under another hash
         with pytest.raises(ValueError, match=f"^{field} must be an int, got {value!r}$"):
             two_nsq(**{field: value})
+
+    @pytest.mark.parametrize("path", [3, b"scan.ckpt", 3.0], ids=["fd", "bytes", "float"])
+    def test_checkpoint_path_must_be_a_str(self, path):
+        # open() would take the int 3 as a file descriptor, read it and close it
+        with pytest.raises(ValueError, match=f"^checkpoint_path must be a str or None, got {path!r}$"):
+            two_nsq(q_max=200, alpha_max=3, checkpoint_path=path)
 
     def test_hash_ignores_execution_knobs(self):
         a = nsq(q_max=100, worker_count=8, checkpoint_path="/anywhere")
@@ -230,7 +236,7 @@ SIEVE_MODULI = (128, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
 
 class TestKernelAgainstOracle:
     # at a helper cost of 0 the helpers start before block 0, so real helpers meet the
-    # oracle, on blocks of 16 shards of NARROW numbers
+    # oracle, on blocks of NARROW numbers
     @pytest.mark.parametrize("jobs, cost", [(1, None), (2, None), (8, None), (2, 0), (8, 0)],
                              ids=["1", "2", "8", "2_cost_0", "8_cost_0"])
     @pytest.mark.parametrize("cfg", CRITERIA, ids=["c01", "c02", "c02_contrast", "c03",
@@ -238,7 +244,7 @@ class TestKernelAgainstOracle:
     def test_criterion_configs(self, monkeypatch, cfg, jobs, cost):
         if cost is not None:
             monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
-            monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+            block_width(monkeypatch, NARROW)
         assert run_search(replace(cfg, worker_count=jobs)).to_jsonl() == oracle_jsonl(cfg)
 
     @pytest.mark.parametrize("cfg", [
@@ -419,11 +425,11 @@ class TestWorkerDeterminism:
         two_nsq(q_min=3, q_max=200, alpha_min=1, alpha_max=1),
     ], ids=["2nsq_mod4_1", "nsq_mod4_1", "nsq", "2nsq_one_shard"])
     def test_criterion_10_configs_with_helpers_from_shard_0(self, monkeypatch, tmp_path, cfg):
-        # criterion 10's shards are too fast to pay for a helper; here helpers start at
-        # once, on blocks of 16 shards of NARROW numbers
+        # criterion 10's blocks are too few to pay for a helper; here helpers start at
+        # once, on blocks of NARROW numbers
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        block_width(monkeypatch, NARROW)
         real, started = oddperfect.search._start_helper, []
 
         def start(*args):
@@ -431,7 +437,7 @@ class TestWorkerDeterminism:
             return real(*args)
 
         monkeypatch.setattr(oddperfect.search, "_start_helper", start)
-        blocks = len(range(cfg.q_min, cfg.q_max + 1, oddperfect.search.CHECKPOINT_SHARDS * NARROW))
+        blocks = len(range(cfg.q_min, cfg.q_max + 1, NARROW))
         runs = []
         for w in (1, 2, 3, 8):
             path = tmp_path / f"jobs_{w}.ckpt"
@@ -485,15 +491,13 @@ class TestWorkerCap:
     def test_pool_never_exceeds_shards_or_cpus(
         self, monkeypatch, fake_helpers, q_max, cpus, helpers
     ):
-        # the parent and its helpers: at most min(jobs, blocks, CPUs) processes,
-        # here with one shard per block
-        shards_per_block(monkeypatch, 1)
+        # the parent and its helpers: at most min(jobs, blocks, CPUs) processes
+        block_width(monkeypatch, NARROW)
         if cpus is None:  # no affinity mask, and os.cpu_count() does not know
             monkeypatch.delattr(oddperfect.search.os, "sched_getaffinity", raising=False)
             monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: None)
         else:
             monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
         report = run_search(two_nsq(q_max=q_max, alpha_max=9, worker_count=100_000))
         assert fake_helpers.strides == [(j, helpers + 1) for j in range(1, helpers + 1)]
         assert report.to_jsonl() == run_search(two_nsq(q_max=q_max, alpha_max=9)).to_jsonl()
@@ -513,23 +517,22 @@ class TestWorkerCap:
     def test_shards_in_flight_are_bounded(self, monkeypatch, fake_helpers):
         # the parent holds at most one block per helper that it has not merged yet
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, 100)
         cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3)
         from_helpers = 0
-        for i, _ in enumerate(oddperfect.search._shard_results(cfg, cfg.q_min)):
+        for i, _ in enumerate(oddperfect.search._block_results(cfg, cfg.q_min)):
             from_helpers += i % 3 != 0
             assert 0 <= fake_helpers.received - from_helpers <= 2
-        # 30 shards, 20 of them from the two helpers, every one merged
+        # 30 blocks, 20 of them from the two helpers, every one merged
         assert i == 29 and fake_helpers.received == from_helpers == 20
 
     def test_helper_payload_does_not_grow_with_the_shards(self, monkeypatch, fake_helpers):
-        # a helper is told where its shards start and how far apart they lie, not each shard
+        # a helper is told where its blocks start and how far apart they lie, not each block
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
-        for q_max in (102_999, 3_099_999):  # 30 and 30 000 shards
+        block_width(monkeypatch, 100)
+        for q_max in (102_999, 3_099_999):  # 30 and 30 000 blocks
             cfg = two_nsq(q_min=100_000, q_max=q_max, alpha_max=9, worker_count=2)
-            scan = oddperfect.search._shard_results(cfg, cfg.q_min)
+            scan = oddperfect.search._block_results(cfg, cfg.q_min)
             next(scan)
             scan.close()
         small, large = fake_helpers.payloads
@@ -538,8 +541,7 @@ class TestWorkerCap:
     def test_tables_are_built_before_the_pool_starts(self, monkeypatch, fake_helpers):
         # forked helpers inherit them instead of each building its own
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         oddperfect.search._alpha_tables.cache_clear()
         run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
         assert fake_helpers.tables == [1]
@@ -548,7 +550,7 @@ class TestWorkerCap:
 _real_scan_block = oddperfect.search._scan_block
 
 
-def interrupt_first_shard_hold_others(cfg, a, b):
+def interrupt_first_block_hold_others(cfg, a, b):
     """A block scan for real helpers: the first block raises KeyboardInterrupt,
     every other one first sleeps 2 s.  Module-level, so that it pickles.
     """
@@ -562,8 +564,7 @@ class TestPoolLifetime:
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from block 0
 
     def test_workers_exit_before_the_call_returns(self):
@@ -573,7 +574,7 @@ class TestPoolLifetime:
         assert report.to_jsonl() == run_search(two_nsq(q_max=3000, alpha_max=9)).to_jsonl()
 
     def test_interrupt_does_not_wait_for_running_shards(self, monkeypatch):
-        monkeypatch.setattr(oddperfect.search, "_scan_block", interrupt_first_shard_hold_others)
+        monkeypatch.setattr(oddperfect.search, "_scan_block", interrupt_first_block_hold_others)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             run_search(two_nsq(q_max=3000, alpha_max=9, worker_count=2))
@@ -595,17 +596,16 @@ def slow_helpers(monkeypatch, fail_at=None, exc=None):
     monkeypatch.setattr(oddperfect.search, "_scan_block", scan)
 
 
-# 4 blocks of one shard of NARROW, scanned by the parent and two helpers at --jobs 3
+# 4 blocks of NARROW numbers, scanned by the parent and two helpers at --jobs 3
 THREE_WORKERS = ["search", "--equation", "2nsq", "--q-max", "3000", "--alpha-max", "9",
                  "--jobs", "3", "--format", "jsonl"]
 
 #: Runs THREE_WORKERS (argv) in a fresh interpreter whose second helper dies at
-#: its first shard, then reports the children still alive on stderr.
+#: its first block, then reports the children still alive on stderr.
 DEAD_HELPER = f"""
 import multiprocessing, os, sys
 from oddperfect import cli, search
-search.SHARD_WIDTH = {NARROW}
-search.CHECKPOINT_SHARDS = 1
+search.BLOCK_WIDTH = {NARROW}
 search.HELPER_START_S = 0
 search._usable_cpus = lambda: 3
 scan = search._scan_block
@@ -623,21 +623,20 @@ class TestHelperFailures:
     @pytest.fixture(autouse=True)
     def three_workers(self, monkeypatch):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from block 0
         self.before = set(multiprocessing.active_children())
         yield
         assert set(multiprocessing.active_children()) - self.before == set()
 
     def test_consistency_error_exits_two(self, monkeypatch, capsys):
-        slow_helpers(monkeypatch, NARROW + 3, ConsistencyError("injected at shard 753"))
+        slow_helpers(monkeypatch, NARROW + 3, ConsistencyError("injected at block 753"))
         start = time.monotonic()
         assert oddperfect.cli.run(THREE_WORKERS) == 2
         assert time.monotonic() - start < 1.5
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "theorem violation: injected at shard 753\n"
+        assert captured.err == "theorem violation: injected at block 753\n"
 
     def test_keyboard_interrupt_stops_the_scan(self, monkeypatch, tmp_path):
         slow_helpers(monkeypatch, NARROW + 3, KeyboardInterrupt())
@@ -647,15 +646,15 @@ class TestHelperFailures:
         with pytest.raises(KeyboardInterrupt):
             run_search(cfg)
         assert time.monotonic() - start < 1.5
-        # the parent's own shard 0 was merged, the helper's shard 1 was not
+        # the parent's own block 0 was merged, the helper's block 1 was not
         assert json.loads(path.read_text())["q_done"] == NARROW + 2
 
     def test_abandoned_scan_stops_its_helpers(self, monkeypatch):
         slow_helpers(monkeypatch)
         cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=3)
-        scan = oddperfect.search._shard_results(cfg, cfg.q_min)
+        scan = oddperfect.search._block_results(cfg, cfg.q_min)
         start = time.monotonic()
-        next(scan)  # shard 0, the parent's own
+        next(scan)  # block 0, the parent's own
         assert len(set(multiprocessing.active_children()) - self.before) == 2
         scan.close()
         assert time.monotonic() - start < 1
@@ -672,7 +671,7 @@ class TestHelperFailures:
             f"i/o error: a search helper died before it sent block [{2 * NARROW + 3}, 2252]",
             "children=0",
         ]
-        # shards 0 and 1 were merged; resumed here, the scan runs the other two
+        # blocks 0 and 1 were merged; resumed here, the scan runs the other two
         assert json.loads(path.read_text())["q_done"] == 2 * NARROW + 2
         assert oddperfect.cli.run(argv) == 0
         resumed = capsys.readouterr().out
@@ -703,8 +702,8 @@ def record_cursors(monkeypatch) -> list:
     return cursors
 
 
-#: Takes the first shard of a scan up to Q_MAX_BOUND at --jobs 2, with the
-#: helper cost as set and at 0, and prints that shard's last q and the seconds
+#: Takes the first block of a scan up to Q_MAX_BOUND at --jobs 2, with the
+#: helper cost as set and at 0, and prints that block's last q and the seconds
 #: it took.
 FIRST_OF_MANY = """
 import sys, time
@@ -714,7 +713,7 @@ for cost in (search.HELPER_START_S, 0):
     search.HELPER_START_S = cost
     cfg = search.SearchConfig(2, q_max=search.Q_MAX_BOUND, alpha_max=9, worker_count=2)
     start = time.perf_counter()
-    scan = search._shard_results(cfg, cfg.q_min)
+    scan = search._block_results(cfg, cfg.q_min)
     print(next(scan)[0], time.perf_counter() - start)
     scan.close()
 """
@@ -726,17 +725,16 @@ def _limit_address_space():
 
 
 class TestHelperStart:
-    """The parent scans alone until the time its shards still need pays for
-    starting the helpers; the shards, the output and the checkpoints stay the same."""
+    """The parent scans alone until the time its blocks still need pays for
+    starting the helpers; the blocks, the output and the checkpoints stay the same."""
 
     def test_a_few_fast_shards_start_no_helper(self, monkeypatch, fake_helpers):
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
-        # 4 shards of about 0.2 ms: before shard 1 a helper would save 0.3 ms of the 0.6 ms left
+        # 4 blocks of about 0.2 ms: before block 1 a helper would save 0.3 ms of the 0.6 ms left
         assert run_search(replace(cfg, worker_count=2)).to_jsonl() == expected
         assert fake_helpers.strides == []
 
@@ -744,8 +742,7 @@ class TestHelperStart:
         # a process's first search builds its residue tables, which no helper would speed up
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         expected = run_search(cfg).to_jsonl()  # and now the sieve's caches are warm
         build = oddperfect.search._alpha_tables
@@ -759,8 +756,7 @@ class TestHelperStart:
     ):
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
-        shards_per_block(monkeypatch, 4)
+        block_width(monkeypatch, 400)
         slow_parent_clock(monkeypatch)
         cursors = record_cursors(monkeypatch)
         runs = []
@@ -771,7 +767,7 @@ class TestHelperStart:
             cursors.clear()
         assert runs[0] == runs[1]
         assert runs[0][2] == [2 + 400 * i for i in range(1, 8)] + [3000]
-        # 30 shards from q = 3 in 8 blocks of 4 (the last of 2): helper j takes
+        # q in [3, 3000] in 8 blocks of 400 (the last of 198): helper j takes
         # blocks 1 + j, 1 + j + 3, ...
         assert fake_helpers.strides == [(1, 3), (2, 3)]
         assert sorted(fake_helpers.scanned) == [
@@ -781,12 +777,11 @@ class TestHelperStart:
     @pytest.mark.parametrize("cost, strides", [(0.75, [(1, 2)]), (0.76, [])],
                              ids=["break_even", "past_break_even"])
     def test_helpers_start_at_the_break_even_point(self, monkeypatch, fake_helpers, cost, strides):
-        # 4 shards of 0.5 s at --jobs 2: before shard 1 the 1.5 s left would
+        # 4 blocks of 0.5 s at --jobs 2: before block 1 the 1.5 s left would
         # take 0.75 s with one helper, the most one helper start may cost
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", cost)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         slow_parent_clock(monkeypatch)
         cfg = two_nsq(q_max=3000, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
@@ -798,12 +793,11 @@ class TestHelperStart:
     def test_no_helper_for_a_shard_that_does_not_exist(
         self, monkeypatch, fake_helpers, q_max, scanned
     ):
-        # shards of 0.5 s at --jobs 2: the shards left pay for a helper before
-        # shard 1, and it starts only when a shard is left for its stride
+        # blocks of 0.5 s at --jobs 2: the blocks left pay for a helper before
+        # block 1, and it starts only when a block is left for its stride
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         slow_parent_clock(monkeypatch)
         cfg = two_nsq(q_max=q_max, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
@@ -813,8 +807,7 @@ class TestHelperStart:
 
     def test_interrupt_after_the_switch_resumes_to_the_same_bytes(self, monkeypatch, tmp_path):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-        shards_per_block(monkeypatch, 1)
+        block_width(monkeypatch, NARROW)
         slow_parent_clock(monkeypatch)
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_max=3000, alpha_max=9, worker_count=2, checkpoint_path=str(path))
@@ -831,7 +824,7 @@ class TestHelperStart:
             m.setattr(oddperfect.search, "_scan_block", scan)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
-        # a real helper started before shard 1 and scanned shard 2, which was merged
+        # a real helper started before block 1 and scanned block 2, which was merged
         assert scanned == [3, 3 + NARROW, 3 + 3 * NARROW]
         assert json.loads(path.read_text())["q_done"] == 3 + 3 * NARROW - 1
         assert set(multiprocessing.active_children()) - before == set()
@@ -840,38 +833,39 @@ class TestHelperStart:
         assert resumed == run_search(clean).to_jsonl()
         assert checkpoint == (tmp_path / "clean.ckpt").read_bytes()
 
-    @pytest.mark.parametrize("shards", [20, 30, 40])
-    def test_one_slow_first_shard_starts_no_helper(self, monkeypatch, fake_helpers, shards):
-        # shards of 0.2 ms at --jobs 2, the first of 1 ms: the mean of the first shard
-        # alone says 19-39 ms are left, past two helper starts; the mean of a block
-        # says at most 6 ms, and at most 1 ms where one block is left for a helper
+    @pytest.mark.parametrize("hundreds", [20, 30, 40])
+    def test_one_slow_first_shard_starts_no_helper(self, monkeypatch, fake_helpers, hundreds):
+        # blocks of 1 600 numbers at --jobs 2, each 100 of which take 0.2 ms but
+        # the first 100, which take 1 ms: the mean of those 100 alone would say
+        # 19-39 ms are left, past two helper starts; the mean of a block says 8 ms where
+        # two blocks are left, short of two helper starts, and 4 ms where one is left
         monkeypatch.setattr(oddperfect.search, "HELPER_START_S", HELPER_START_S)
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        block_width(monkeypatch, 1600)
         real, now = oddperfect.search._eligible, [0.0]
 
         def eligible(lo, hi, residue_filter):
-            # the clock moves by the shards each sieve call covers
-            shards, first = len(range(lo, hi + 1, 100)), lo == 3
-            now[0] += 1e-3 * first + 2e-4 * (shards - first)
+            # the clock moves by the hundreds of numbers each sieve call covers
+            spans, first = len(range(lo, hi + 1, 100)), lo == 3
+            now[0] += 1e-3 * first + 2e-4 * (spans - first)
             return real(lo, hi, residue_filter)
 
         monkeypatch.setattr(oddperfect.search, "_eligible", eligible)
         monkeypatch.setattr(oddperfect.search, "time", SimpleNamespace(perf_counter=lambda: now[0]))
-        cfg = two_nsq(q_max=2 + 100 * shards, alpha_max=9)
+        cfg = two_nsq(q_max=2 + 100 * hundreds, alpha_max=9)
         report = run_search(replace(cfg, worker_count=2))
         assert fake_helpers.strides == []
         assert report.to_jsonl() == run_search(cfg).to_jsonl()
 
     def test_first_shard_of_the_largest_range_comes_at_once(self):
-        # about 1.7e10 shards: a list of them would not fit under the limit
+        # about 1.1e9 blocks: a list of them would not fit under the limit
         env = {**os.environ, "PYTHONPATH": str(Path(oddperfect.search.__file__).parents[1]),
                "OPENBLAS_NUM_THREADS": "1"}
         child = subprocess.run([sys.executable, "-c", FIRST_OF_MANY], env=env, text=True,
                                capture_output=True, timeout=60, preexec_fn=_limit_address_space)
         assert child.returncode == 0, child.stderr
         lines = [line.split() for line in child.stdout.splitlines()]
-        assert [q for q, _ in lines] == ["16386", "16386"]
+        assert [q for q, _ in lines] == ["262146", "262146"]
         assert all(float(seconds) < 5 for _, seconds in lines)
 
 
@@ -958,17 +952,17 @@ class TestCheckpointing:
     def test_fresh_interrupt_resume_cycle(self, tmp_path, monkeypatch):
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_max=3000, alpha_max=9, checkpoint_path=str(path))
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        block_width(monkeypatch, NARROW)
         with monkeypatch.context() as m:
-            interrupt_at_shard(m, 1)
+            interrupt_at_block(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
-        # the checkpoint written after shard 0, q in [3, 752], survives the interrupt
+        # the checkpoint written after block 0, q in [3, 752], survives the interrupt
         assert json.loads(path.read_text())["q_done"] == 3 + NARROW - 1
         resumed = run_search(cfg)
         clean = run_search(two_nsq(q_max=3000, alpha_max=9))
         assert resumed.to_jsonl() == clean.to_jsonl()
-        # alphas 2, 4, 6, 8 for every prime, those of the resumed shard too
+        # alphas 2, 4, 6, 8 for every prime, those before the cursor too
         eligible = [p for p in primes_upto(3000) if p >= 3]
         assert resumed.skipped_even_alpha == 4 * resumed.scanned_primes == 4 * len(eligible)
 
@@ -976,12 +970,12 @@ class TestCheckpointing:
         path = str(tmp_path / "scan.ckpt")
         cfg = two_nsq(q_max=3000, alpha_max=1, checkpoint_path=path)
         with monkeypatch.context() as m:
-            m.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
-            interrupt_at_shard(m, 1)
+            block_width(m, NARROW)
+            interrupt_at_block(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
         with monkeypatch.context() as m:
-            m.setattr(oddperfect.search, "SHARD_WIDTH", 560)
+            block_width(m, 560)
             resumed = run_search(cfg).to_jsonl()
         assert resumed == run_search(two_nsq(q_max=3000, alpha_max=1)).to_jsonl()
 
@@ -994,9 +988,9 @@ class TestCheckpointing:
 
     def test_mismatched_config_rejected(self, tmp_path, monkeypatch):
         path = str(tmp_path / "scan.ckpt")
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        block_width(monkeypatch, NARROW)
         with monkeypatch.context() as m:
-            interrupt_at_shard(m, 1)
+            interrupt_at_block(m, 1)
             with pytest.raises(KeyboardInterrupt):
                 run_search(two_nsq(q_max=3000, alpha_max=9, checkpoint_path=path))
         with pytest.raises(CheckpointError):
@@ -1030,95 +1024,97 @@ class TestCheckpointing:
             run_search(cfg)
 
 
-#: The last q of a scan from q = 3 in 40 shards of NARROW numbers.
-FORTY_SHARDS = 2 + 40 * NARROW
+#: The last q of a scan from q = 3 in 40 blocks of NARROW numbers.
+FORTY_BLOCKS = 2 + 40 * NARROW
 
 
-def shard_end(i: int) -> int:
-    """The last q of shard i (0-based) of a scan from q = 3 in shards of NARROW."""
+def block_end(i: int) -> int:
+    """The last q of block i (0-based) of a scan from q = 3 in blocks of NARROW."""
     return 2 + NARROW * (i + 1)
 
 
+def stop_at_block_3(monkeypatch, stop):
+    """Make block 3 of a scan from q = 3 in blocks of NARROW stop the scan: a
+    ConsistencyError wherever it is scanned, a helper that dies scanning it, or
+    a Ctrl-C in the parent before it is merged."""
+    if stop == "interrupt":
+        return interrupt_at_block(monkeypatch, 3)
+    parent = os.getpid()
+
+    def scan(cfg, a, b):
+        if a == block_end(2) + 1:
+            if stop == "violation":
+                raise ConsistencyError("injected at block 3")
+            assert os.getpid() != parent
+            os._exit(1)
+        return _real_scan_block(cfg, a, b)
+
+    monkeypatch.setattr(oddperfect.search, "_scan_block", scan)
+
+
 class TestCheckpointCadence:
-    """A scan saves after every CHECKPOINT_SHARDS-th shard it merges and when it
-    stops, and a resume recounts CHECKPOINT_SHARDS shards per sieve call."""
+    """A scan saves after every block it merges, so however it stops it keeps
+    every merged block, and a resume recounts one block per sieve call."""
 
     @pytest.fixture(autouse=True)
     def narrow(self, monkeypatch):
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", NARROW)
+        block_width(monkeypatch, NARROW)
 
-    def test_saves_every_16_merged_shards_and_at_the_end(
-        self, monkeypatch, fake_helpers, tmp_path
-    ):
-        assert oddperfect.search.CHECKPOINT_SHARDS == 16
+    def test_saves_after_every_merged_block(self, monkeypatch, fake_helpers, tmp_path):
         monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 3)
         cursors = record_cursors(monkeypatch)
         runs = []
         for jobs in (1, 2, 3):
             path = tmp_path / f"jobs_{jobs}.ckpt"
-            cfg = two_nsq(q_max=FORTY_SHARDS, alpha_max=9, worker_count=jobs,
+            cfg = two_nsq(q_max=FORTY_BLOCKS, alpha_max=9, worker_count=jobs,
                           checkpoint_path=str(path))
             runs.append((run_search(cfg).to_jsonl(), path.read_bytes()))
-            assert cursors == [shard_end(15), shard_end(31), FORTY_SHARDS]
+            assert cursors == [block_end(i) for i in range(40)]
             cursors.clear()
         assert runs == [runs[0]] * 3
-        # the helpers scanned from shard 0 on, and their shards were merged in order
+        # the helpers scanned from block 0 on, and their blocks were merged in order
         assert fake_helpers.strides == [(1, 2), (1, 3), (2, 3)]
 
-    def test_an_interrupt_between_saves_keeps_every_merged_shard(self, monkeypatch, tmp_path):
-        path = tmp_path / "scan.ckpt"
-        cfg = two_nsq(q_max=FORTY_SHARDS, alpha_max=9, checkpoint_path=str(path))
-        with monkeypatch.context() as m:
-            interrupt_at_shard(m, 20)
-            with pytest.raises(KeyboardInterrupt):
-                run_search(cfg)
-        # shards 0-19 were merged; the last save every 16 shards was after shard 15
-        cursor = shard_end(19)
-        hits = list(run_search(two_nsq(q_max=cursor, alpha_max=9)).records)
-        assert hits
-        expected = replace(cfg, checkpoint_path=str(tmp_path / "expected.ckpt"))
-        checkpoint_save(expected, cursor, hits)
-        assert path.read_bytes() == (tmp_path / "expected.ckpt").read_bytes()
-        clean = run_search(replace(cfg, checkpoint_path=None)).to_jsonl()
-        assert run_search(cfg).to_jsonl() == clean
-
-    def test_a_failed_stop_save_does_not_hide_the_interrupt(
-        self, monkeypatch, tmp_path, capsys
+    @pytest.mark.parametrize("stop, jobs, code", [
+        ("violation", 1, 2), ("violation", 2, 2), ("dead_helper", 2, 3),
+        ("interrupt", 1, 130), ("interrupt", 2, 130),
+    ], ids=["violation-jobs_1", "violation-jobs_2", "dead_helper-jobs_2",
+            "interrupt-jobs_1", "interrupt-jobs_2"])
+    def test_a_stop_keeps_every_merged_block(
+        self, monkeypatch, tmp_path, capsys, stop, jobs, code
     ):
-        path = tmp_path / "scan.ckpt"
-        real, refused = oddperfect.search.checkpoint_save, []
-
-        def save(cfg, q_done, records):
-            if isinstance(sys.exc_info()[1], KeyboardInterrupt):
-                refused.append(q_done)
-                raise CheckpointError(f"cannot write checkpoint {path}: injected")
-            real(cfg, q_done, records)
-
-        monkeypatch.setattr(oddperfect.search, "checkpoint_save", save)
-        argv = ["search", "--equation", "2nsq", "--q-max", str(FORTY_SHARDS),
-                "--alpha-max", "9", "--format", "jsonl"]
-        assert oddperfect.cli.run(argv) == 0
+        # blocks 0-2 are merged when block 3, the parent's at --jobs 1 and the
+        # helper's at --jobs 2, stops the scan; the exit code is the stop's own
+        monkeypatch.setattr(oddperfect.search, "HELPER_START_S", 0)  # helpers from block 0
+        monkeypatch.setattr(oddperfect.search, "_usable_cpus", lambda: 2)
+        argv = ["search", "--equation", "2nsq", "--q-max", str(FORTY_BLOCKS),
+                "--alpha-max", "9", "--jobs", str(jobs), "--format", "jsonl", "--checkpoint"]
+        clean_path, path = tmp_path / "clean.ckpt", tmp_path / "scan.ckpt"
+        assert oddperfect.cli.run([*argv, str(clean_path)]) == 0
         clean = capsys.readouterr().out
-        argv += ["--checkpoint", str(path)]
+        before = set(multiprocessing.active_children())
         with monkeypatch.context() as m:
-            interrupt_at_shard(m, 20)
-            assert oddperfect.cli.run(argv) == 130
-        assert refused == [shard_end(19)]
-        assert capsys.readouterr() == (
-            "", f"interrupted; rerun to resume from checkpoint {path}\n"
-        )
-        # the save after shard 15 is left, and it resumes to the clean bytes
-        assert json.loads(path.read_text())["q_done"] == shard_end(15)
-        assert oddperfect.cli.run(argv) == 0
+            stop_at_block_3(m, stop)
+            assert oddperfect.cli.run([*argv, str(path)]) == code
+        assert set(multiprocessing.active_children()) - before == set()
+        assert capsys.readouterr() == ("", {
+            "violation": "theorem violation: injected at block 3\n",
+            "dead_helper": "i/o error: a search helper died before it sent block "
+                           f"[{block_end(2) + 1}, {block_end(3)}]\n",
+            "interrupt": f"interrupted; rerun to resume from checkpoint {path}\n",
+        }[stop])
+        assert json.loads(path.read_text())["q_done"] == block_end(2)
+        assert oddperfect.cli.run([*argv, str(path)]) == 0
         assert capsys.readouterr().out == clean
+        assert path.read_bytes() == clean_path.read_bytes()
 
     @pytest.mark.parametrize("residue_filter", [1, 3, None], ids=["mod4_1", "mod4_3", "all"])
     @pytest.mark.parametrize("q_min", [1, 2000])
     def test_a_resume_recounts_the_primes_before_the_cursor(
         self, monkeypatch, tmp_path, q_min, residue_filter
     ):
-        # shards of 100: a recount sieves 1 600 numbers a call
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        # blocks of 1 600: a recount sieves 1 600 numbers a call
+        block_width(monkeypatch, 1600)
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_min=q_min, q_max=9000, alpha_max=9, residue_filter=residue_filter,
                       checkpoint_path=str(path))
@@ -1126,7 +1122,7 @@ class TestCheckpointCadence:
         eligible = [p for p in primes_in(q_min, 9000) if residue_filter in (None, p % 4)]
         assert clean.scanned_primes == len(eligible)
         start = max(q_min, 2)
-        # eligible primes and a composite, each off every 16-shard boundary:
+        # eligible primes and a composite, each off every block edge:
         # the first past 1 600 numbers, past 3 200, and the last one
         cursors = [next(p for p in eligible if p > start + 1600),
                    next(p for p in eligible if p > start + 3200), eligible[-1], 5000]
@@ -1138,8 +1134,8 @@ class TestCheckpointCadence:
             assert resumed.to_jsonl() == clean.to_jsonl()
             path.unlink()
 
-    def test_a_resume_sieves_16_shards_per_call(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+    def test_a_resume_sieves_one_block_per_call(self, monkeypatch, tmp_path):
+        block_width(monkeypatch, 1600)
         path = tmp_path / "scan.ckpt"
         cfg = two_nsq(q_max=9000, alpha_max=9, checkpoint_path=str(path))
         expected = run_search(cfg).to_jsonl()
@@ -1156,7 +1152,7 @@ class TestCheckpointCadence:
 
 
 class TestPredictedOutputs:
-    """Searches to 10^7, each interrupted off a save boundary and resumed from its
+    """Searches to 10^7, each interrupted between two blocks and resumed from its
     checkpoint, report what predicted_hits derives and PRIME_COUNTS_1E7 primes."""
 
     @pytest.mark.parametrize("k, alpha_max, residue_filter, seed", [
@@ -1169,11 +1165,10 @@ class TestPredictedOutputs:
         path = tmp_path / "scan.ckpt"
         cfg = SearchConfig(k, q_max=10**7, alpha_max=alpha_max, residue_filter=residue_filter,
                            checkpoint_path=str(path))
-        width, every = oddperfect.search.SHARD_WIDTH, oddperfect.search.CHECKPOINT_SHARDS
-        shards = len(range(3, 10**7 + 1, width))
-        stop = random.Random(seed).choice([i for i in range(1, shards) if i % every])
+        width = oddperfect.search.BLOCK_WIDTH
+        stop = random.Random(seed).randrange(1, len(range(3, 10**7 + 1, width)))
         with monkeypatch.context() as m:
-            interrupt_at_shard(m, stop)
+            interrupt_at_block(m, stop)
             with pytest.raises(KeyboardInterrupt):
                 run_search(cfg)
         assert json.loads(path.read_text())["q_done"] == 2 + stop * width
@@ -1186,7 +1181,7 @@ class TestPredictedOutputs:
 
 @functools.cache
 def deep_window(exponent: int) -> tuple[int, int]:
-    """A seeded window of 1 to 2 shards near 10**exponent that holds the 2nsq hit
+    """A seeded window of 1 to 2^15 numbers near 10**exponent that holds the 2nsq hit
     at the first prime 2n^2 - 1 from a seeded n, with n odd (q = 1 mod 4) at odd
     exponents and even (q = 3 mod 4) at even ones."""
     rng = random.Random(exponent)
@@ -1194,7 +1189,7 @@ def deep_window(exponent: int) -> tuple[int, int]:
     n += (n - exponent) % 2
     while not is_prime_trial(2 * n * n - 1):
         n += 2
-    width = rng.randint(1, 2 * oddperfect.search.SHARD_WIDTH)
+    width = rng.randint(1, 1 << 15)
     lo = 2 * n * n - 1 - rng.randrange(width)
     return lo, lo + width - 1
 
@@ -1258,8 +1253,8 @@ class TestPredictedByTheReduction:
         assert report.scanned_primes == len(primes)
 
 
-#: Numbers per block at the module's widths: 2^18, one primes_between segment.
-BLOCK = oddperfect.search.CHECKPOINT_SHARDS * oddperfect.search.SHARD_WIDTH
+#: Numbers per block at the module's width: 2^18, one primes_between segment.
+BLOCK = oddperfect.search.BLOCK_WIDTH
 
 
 def block_edge_hit(exponent: int) -> int:
@@ -1268,40 +1263,40 @@ def block_edge_hit(exponent: int) -> int:
     return q
 
 
-#: (q_min, q_max) of windows around a hit q at the module's widths, each end at
+#: (q_min, q_max) of windows around a hit q at the module's width, each end at
 #: +-1 of a block edge, which is also a primes_between segment edge.
 BLOCK_WINDOWS = {
-    # q is block 0's last q; the last block is one shard of one number
+    # q is block 0's last q; the last block is one number
     "hit_ends_block_0": lambda q: (q - BLOCK + 1, q + BLOCK + 1),
-    # q is block 1's first q; the last shard is one number short
+    # q is block 1's first q; block 1 is one number short
     "hit_starts_block_1": lambda q: (q - BLOCK, q + BLOCK - 2),
-    # q is block 0's last q but one; the last block is one whole shard
-    "hit_ends_block_0_but_one": lambda q: (q - BLOCK + 2, q + 1 + oddperfect.search.SHARD_WIDTH),
+    # q is block 0's last q but one; the last block is 2^14 numbers
+    "hit_ends_block_0_but_one": lambda q: (q - BLOCK + 2, q + 1 + (1 << 14)),
     # q is q_max, the last q of the second of two whole blocks
     "hit_is_q_max": lambda q: (q - 2 * BLOCK + 1, q),
 }
 
 
-def shards_from_oracles(cfg: SearchConfig, primes: list[int], hits: list[tuple]) -> list:
-    """(last q, primes scanned, hits) of each shard of cfg's range, from the sorted
+def blocks_from_oracles(cfg: SearchConfig, primes: list[int], hits: list[tuple]) -> list:
+    """(last q, primes scanned, hits) of each block of cfg's range, from the sorted
     eligible primes and the (q, alpha, n) hits of that range."""
-    width, shards = oddperfect.search.SHARD_WIDTH, []
+    width, blocks = oddperfect.search.BLOCK_WIDTH, []
     for a in range(max(cfg.q_min, 2), cfg.q_max + 1, width):
         b = min(a + width - 1, cfg.q_max)
         count = bisect.bisect_right(primes, b) - bisect.bisect_left(primes, a)
-        shards.append((b, count, [hit for hit in hits if a <= hit[0] <= b]))
-    return shards
+        blocks.append((b, count, [hit for hit in hits if a <= hit[0] <= b]))
+    return blocks
 
 
-def shards_scanned(cfg: SearchConfig) -> list:
-    """(last q, primes scanned, hits) of each shard of cfg's range as the scan merges them."""
+def blocks_scanned(cfg: SearchConfig) -> list:
+    """(last q, primes scanned, hits) of each block of cfg's range as the scan merges them."""
     return [(b, count, [(r.q, r.alpha, r.n) for r in records])
-            for b, count, records in oddperfect.search._shard_results(cfg, cfg.q_min)]
+            for b, count, records in oddperfect.search._block_results(cfg, cfg.q_min)]
 
 
 class TestBlocks:
-    """A worker scans blocks of CHECKPOINT_SHARDS shards, one sieve call and one
-    kernel call each, and splits their counts and records at the shards' ends."""
+    """A worker scans blocks of BLOCK_WIDTH numbers, one sieve call and one kernel
+    call each, and each block merges as its last q, its prime count and its records."""
 
     @pytest.fixture(autouse=True)
     def helpers_from_block_0(self, monkeypatch):
@@ -1318,11 +1313,11 @@ class TestBlocks:
         lo, hi = BLOCK_WINDOWS[window](hit)
         cfg = SearchConfig(k, q_min=lo, q_max=hi, alpha_max=25, residue_filter=residue_filter)
         primes = [q for q in deep_primes(lo, hi) if residue_filter in (None, q % 4)]
-        expected = shards_from_oracles(cfg, primes, predicted_hits(k, lo, hi, 1, 25,
+        expected = blocks_from_oracles(cfg, primes, predicted_hits(k, lo, hi, 1, 25,
                                                                    residue_filter))
         assert k == 1 or any(records for _, _, records in expected)
         for jobs in (1, 2, 3):
-            assert shards_scanned(replace(cfg, worker_count=jobs)) == expected
+            assert blocks_scanned(replace(cfg, worker_count=jobs)) == expected
 
     @pytest.mark.parametrize("k, residue_filter", [
         (2, None), (2, 1), (2, 3), (1, None), (1, 1), (1, 3),
@@ -1331,17 +1326,17 @@ class TestBlocks:
                                         (1601, 4799)])
     def test_narrow_shards_to_the_naive_search(self, monkeypatch, lo, hi, k, residue_filter):
         # blocks of 1 600 numbers: two whole ones from q = 2, one number past two from 3,
-        # a last block of one shard, and a last shard one number short
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        # a last block of 100 numbers, and a last block one number short
+        block_width(monkeypatch, 1600)
         cfg = SearchConfig(k, q_min=lo, q_max=hi, alpha_max=9, residue_filter=residue_filter)
         primes = [q for q in primes_in(lo, hi) if residue_filter in (None, q % 4)]
         hits = search_solutions(EQUATIONS[k], lo, hi, 1, 9, residue_filter)
-        expected = shards_from_oracles(cfg, primes, hits)
+        expected = blocks_from_oracles(cfg, primes, hits)
         for jobs in (1, 2, 3):
-            assert shards_scanned(replace(cfg, worker_count=jobs)) == expected
+            assert blocks_scanned(replace(cfg, worker_count=jobs)) == expected
 
     def test_one_sieve_call_and_one_kernel_call_per_block(self, monkeypatch):
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        block_width(monkeypatch, 1600)
         sieved, kernel = [], []
         eligible, hits = oddperfect.search._eligible, oddperfect.search._hits
 
@@ -1356,7 +1351,7 @@ class TestBlocks:
         monkeypatch.setattr(oddperfect.search, "_eligible", sieve)
         monkeypatch.setattr(oddperfect.search, "_hits", count_kernel)
         report = run_search(two_nsq(q_max=4002, alpha_max=9))
-        # 40 shards from q = 3: two blocks of 16 and one of 8
+        # q in [3, 4002]: two blocks of 1 600 numbers and one of 800
         assert sieved == [(3, 1602), (1603, 3202), (3203, 4002)]
         assert sum(kernel) == report.scanned_primes and len(kernel) == 3
 
@@ -1364,16 +1359,16 @@ class TestBlocks:
     def test_an_interrupt_at_each_shard_edge_of_a_block_resumes_to_the_clean_bytes(
         self, monkeypatch, tmp_path, jobs
     ):
-        # blocks of 16 shards of 100: every edge inside block 0 and inside block 1,
-        # which at --jobs 2 a helper scans
-        monkeypatch.setattr(oddperfect.search, "SHARD_WIDTH", 100)
+        # blocks of 100: each of the first 31 block edges, where at --jobs 2 a helper
+        # scans every other block
+        block_width(monkeypatch, 100)
         cfg = two_nsq(q_max=5000, alpha_max=9, worker_count=jobs)
         clean_path = tmp_path / "clean.ckpt"
         clean = run_search(replace(cfg, checkpoint_path=str(clean_path))).to_jsonl()
         path = tmp_path / "scan.ckpt"
-        for stop in [*range(1, 16), *range(17, 32)]:
+        for stop in range(1, 32):
             with monkeypatch.context() as m:
-                interrupt_at_shard(m, stop)
+                interrupt_at_block(m, stop)
                 with pytest.raises(KeyboardInterrupt):
                     run_search(replace(cfg, checkpoint_path=str(path)))
             assert json.loads(path.read_text())["q_done"] == 2 + 100 * stop
